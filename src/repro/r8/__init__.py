@@ -1,8 +1,9 @@
 """The R8 soft-core processor: ISA, assembler, simulators, debugger.
 
-Two execution models are provided and kept equivalent by differential
-tests: :class:`R8Simulator` (fast, functional, with debugging aids —
-the paper's "R8 Simulator" tool) and :class:`R8Cpu` (cycle-accurate
+Two execution models share one instruction semantics
+(:mod:`~repro.r8.semantics`) and differ only in timing:
+:class:`R8Simulator` (fast, functional, with debugging aids — the
+paper's "R8 Simulator" tool) and :class:`R8Cpu` (cycle-accurate
 multicycle FSM used inside the MultiNoC system model).
 """
 

@@ -1,8 +1,8 @@
 """R8 arithmetic-logic unit with N/Z/C/V flag semantics.
 
-Shared by both processor models (the cycle-accurate
-:class:`~repro.r8.cpu.R8Cpu` and the functional
-:class:`~repro.r8.simulator.R8Simulator`), so the two cannot diverge.
+Called from the instruction table in :mod:`repro.r8.semantics`, which
+both processor models (the cycle-accurate :class:`~repro.r8.cpu.R8Cpu`
+and the functional :class:`~repro.r8.simulator.R8Simulator`) execute.
 """
 
 from __future__ import annotations

@@ -1,120 +1,173 @@
-"""Functional (single-call) execution semantics for R8 instructions.
+"""The one definition of R8 instruction behaviour.
 
-Used by the instruction-set simulator; the cycle-accurate
-:class:`~repro.r8.cpu.R8Cpu` implements the same semantics split across
-FSM states, and the differential tests in ``tests/test_r8_differential.py``
-keep the two in lock-step.
+:data:`EXECUTE` maps each of the 36 mnemonics to an entry
+``entry(state, instr)`` that applies the instruction's EXEC-state
+effects (registers, flags, SP, PC and halt) and returns the data-memory
+access the instruction still needs:
+
+* ``None`` -- no memory access;
+* ``addr`` -- a load (LD, POP, RTS), completed by :func:`finish_load`;
+* ``(addr, value)`` -- a store (ST, PUSH, JSRR, JSRD).
+
+Both processor models dispatch through this table and add only their own
+timing: the functional :class:`~repro.r8.simulator.R8Simulator` performs
+the access at once, while the cycle-accurate :class:`~repro.r8.cpu.R8Cpu`
+issues it as a bus transaction and waits for it in its MEM/WRITE states.
+
+``state.pc`` must already point at the *next* instruction (the hardware
+increments PC during fetch), which is what displacement jumps and JSR
+return addresses are relative to.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Dict, Optional, Tuple, Union
 
 from . import alu, isa
 from .alu import MASK16
 from .state import R8State
 
-ReadFn = Callable[[int], int]
-WriteFn = Callable[[int, int], None]
+Access = Optional[Union[int, Tuple[int, int]]]
+Entry = Callable[[R8State, isa.Instruction], Access]
 
 
-def condition_met(state: R8State, cond: int) -> bool:
-    """Evaluate a jump-group condition nibble against the flags."""
-    flag = isa.COND_FLAG[cond]
-    if not flag:
-        return True
-    return getattr(state.flags, flag)
+def finish_load(state: R8State, instr: isa.Instruction, value: int) -> None:
+    """Complete a load with the word read: RTS writes PC, LD/POP ``rt``."""
+    if instr.spec.mnemonic == "RTS":
+        state.pc = value & MASK16
+    else:
+        state.regs[instr.rt] = value & MASK16
 
 
-def execute(
-    state: R8State,
-    instr: isa.Instruction,
-    read: ReadFn,
-    write: WriteFn,
-) -> None:
-    """Execute one decoded instruction against *state*.
+def _rrr(op) -> Entry:
+    """``rt <- op(rs1, rs2)``, setting flags."""
 
-    ``state.pc`` must already point at the *next* instruction (the
-    hardware increments PC during fetch), which is what displacement
-    jumps and JSR return addresses are relative to.
-    """
-    spec = instr.spec
-    m = spec.mnemonic
-    regs = state.regs
-    flags = state.flags
+    def entry(s, i):
+        s.regs[i.rt] = op(s.regs[i.rs1], s.regs[i.rs2], s.flags)
 
-    if m == "ADD":
-        state.set_reg(instr.rt, alu.add(regs[instr.rs1], regs[instr.rs2], flags))
-    elif m == "ADDC":
-        state.set_reg(
-            instr.rt,
-            alu.add(regs[instr.rs1], regs[instr.rs2], flags, carry_in=int(flags.c)),
-        )
-    elif m == "SUB":
-        state.set_reg(instr.rt, alu.sub(regs[instr.rs1], regs[instr.rs2], flags))
-    elif m == "SUBC":
-        state.set_reg(
-            instr.rt,
-            alu.sub(regs[instr.rs1], regs[instr.rs2], flags, borrow_in=int(flags.c)),
-        )
-    elif m == "AND":
-        state.set_reg(instr.rt, alu.logic_and(regs[instr.rs1], regs[instr.rs2], flags))
-    elif m == "OR":
-        state.set_reg(instr.rt, alu.logic_or(regs[instr.rs1], regs[instr.rs2], flags))
-    elif m == "XOR":
-        state.set_reg(instr.rt, alu.logic_xor(regs[instr.rs1], regs[instr.rs2], flags))
-    elif m == "LD":
-        addr = (regs[instr.rs1] + regs[instr.rs2]) & MASK16
-        state.set_reg(instr.rt, read(addr))
-    elif m == "ST":
-        addr = (regs[instr.rs1] + regs[instr.rs2]) & MASK16
-        write(addr, regs[instr.rt])
-    elif m == "LDL":
-        state.set_reg(instr.rt, (regs[instr.rt] & 0xFF00) | instr.imm)
-    elif m == "LDH":
-        state.set_reg(instr.rt, (instr.imm << 8) | (regs[instr.rt] & 0x00FF))
-    elif m == "NOT":
-        state.set_reg(instr.rt, alu.logic_not(regs[instr.rs1], flags))
-    elif m == "SL0":
-        state.set_reg(instr.rt, alu.shift_left(regs[instr.rs1], 0, flags))
-    elif m == "SL1":
-        state.set_reg(instr.rt, alu.shift_left(regs[instr.rs1], 1, flags))
-    elif m == "SR0":
-        state.set_reg(instr.rt, alu.shift_right(regs[instr.rs1], 0, flags))
-    elif m == "SR1":
-        state.set_reg(instr.rt, alu.shift_right(regs[instr.rs1], 1, flags))
-    elif m == "MOV":
-        state.set_reg(instr.rt, regs[instr.rs1])
-    elif m == "PUSH":
-        write(state.sp, regs[instr.rs1])
-        state.sp = (state.sp - 1) & MASK16
-    elif m == "POP":
-        state.sp = (state.sp + 1) & MASK16
-        state.set_reg(instr.rt, read(state.sp))
-    elif m == "LDSP":
-        state.sp = regs[instr.rs1]
-    elif m == "RDSP":
-        state.set_reg(instr.rt, state.sp)
-    elif m in ("JMPR", "JMPNR", "JMPZR", "JMPCR", "JMPVR"):
-        if condition_met(state, spec.sub):
-            state.pc = regs[instr.rs1]
-    elif m in ("JMPD", "JMPND", "JMPZD", "JMPCD", "JMPVD"):
-        if condition_met(state, spec.sub):
-            state.pc = (state.pc + instr.disp) & MASK16
-    elif m == "JSRR":
-        write(state.sp, state.pc)
-        state.sp = (state.sp - 1) & MASK16
-        state.pc = regs[instr.rs1]
-    elif m == "JSRD":
-        write(state.sp, state.pc)
-        state.sp = (state.sp - 1) & MASK16
-        state.pc = (state.pc + instr.disp) & MASK16
-    elif m == "RTS":
-        state.sp = (state.sp + 1) & MASK16
-        state.pc = read(state.sp)
-    elif m == "NOP":
-        pass
-    elif m == "HALT":
-        state.halted = True
-    else:  # pragma: no cover - the spec table is closed
-        raise NotImplementedError(m)
+    return entry
+
+
+def _rrr_carry(op) -> Entry:
+    """ADDC/SUBC: like :func:`_rrr`, also consuming the carry flag."""
+
+    def entry(s, i):
+        s.regs[i.rt] = op(s.regs[i.rs1], s.regs[i.rs2], s.flags, int(s.flags.c))
+
+    return entry
+
+
+def _rr(op, *fill) -> Entry:
+    """``rt <- op(rs[, fill])`` for NOT and the shifts, setting flags."""
+
+    def entry(s, i):
+        s.regs[i.rt] = op(s.regs[i.rs1], *fill, s.flags)
+
+    return entry
+
+
+def _jump(spec: isa.InstrSpec) -> Entry:
+    """A register (JR) or displacement (JD) jump on its condition flag."""
+    flag = isa.COND_FLAG[spec.sub]
+    by_register = spec.fmt is isa.Fmt.JR
+
+    def entry(s, i):
+        if not flag or getattr(s.flags, flag):
+            s.pc = s.regs[i.rs1] if by_register else (s.pc + i.disp) & MASK16
+
+    return entry
+
+
+def _ldl(s, i):
+    s.regs[i.rt] = (s.regs[i.rt] & 0xFF00) | i.imm
+
+
+def _ldh(s, i):
+    s.regs[i.rt] = (i.imm << 8) | (s.regs[i.rt] & 0x00FF)
+
+
+def _mov(s, i):
+    s.regs[i.rt] = s.regs[i.rs1]
+
+
+def _ldsp(s, i):
+    s.sp = s.regs[i.rs1]
+
+
+def _rdsp(s, i):
+    s.regs[i.rt] = s.sp
+
+
+def _ld(s, i):
+    return (s.regs[i.rs1] + s.regs[i.rs2]) & MASK16
+
+
+def _st(s, i):
+    return (s.regs[i.rs1] + s.regs[i.rs2]) & MASK16, s.regs[i.rt]
+
+
+def _push(s, value):
+    """Store at SP, then decrement it: the stack grows downward."""
+    sp = s.sp
+    s.sp = (sp - 1) & MASK16
+    return sp, value
+
+
+def _pop(s, i):
+    s.sp = (s.sp + 1) & MASK16
+    return s.sp
+
+
+def _jsrr(s, i):
+    access = _push(s, s.pc)
+    s.pc = s.regs[i.rs1]
+    return access
+
+
+def _jsrd(s, i):
+    access = _push(s, s.pc)
+    s.pc = (s.pc + i.disp) & MASK16
+    return access
+
+
+def _halt(s, i):
+    s.halted = True
+
+
+#: mnemonic -> entry.  Keyed by the mnemonic string, which hashes far
+#: faster than the frozen ``InstrSpec`` dataclass.
+EXECUTE: Dict[str, Entry] = {
+    "ADD": _rrr(alu.add),
+    "ADDC": _rrr_carry(alu.add),
+    "SUB": _rrr(alu.sub),
+    "SUBC": _rrr_carry(alu.sub),
+    "AND": _rrr(alu.logic_and),
+    "OR": _rrr(alu.logic_or),
+    "XOR": _rrr(alu.logic_xor),
+    "LD": _ld,
+    "ST": _st,
+    "LDL": _ldl,
+    "LDH": _ldh,
+    "NOT": _rr(alu.logic_not),
+    "SL0": _rr(alu.shift_left, 0),
+    "SL1": _rr(alu.shift_left, 1),
+    "SR0": _rr(alu.shift_right, 0),
+    "SR1": _rr(alu.shift_right, 1),
+    "MOV": _mov,
+    "PUSH": lambda s, i: _push(s, s.regs[i.rs1]),
+    "POP": _pop,
+    "LDSP": _ldsp,
+    "RDSP": _rdsp,
+    **{
+        spec.mnemonic: _jump(spec)
+        for spec in isa.SPECS.values()
+        if spec.fmt in (isa.Fmt.JR, isa.Fmt.JD)
+    },
+    "JSRR": _jsrr,
+    "JSRD": _jsrd,
+    "RTS": _pop,
+    "NOP": lambda s, i: None,
+    "HALT": _halt,
+}
+
+assert EXECUTE.keys() == isa.SPECS.keys(), "one entry per instruction"

@@ -98,7 +98,7 @@ class R8Simulator:
 
     # -- memory access with I/O mapping -----------------------------------------
 
-    def _read(self, addr: int) -> int:
+    def _read(self, addr: int, pc: int) -> int:
         if addr == IO_ADDRESS:
             if self.on_scanf is None:
                 raise SimulatorError("scanf executed but no on_scanf hook set")
@@ -110,10 +110,10 @@ class R8Simulator:
             )
         self._check_addr(addr)
         if addr in self.watchpoints:
-            self.watch_hits.append(("read", addr, self.memory[addr], self.state.pc))
+            self.watch_hits.append(("read", addr, self.memory[addr], pc))
         return self.memory[addr]
 
-    def _write(self, addr: int, value: int) -> None:
+    def _write(self, addr: int, value: int, pc: int) -> None:
         if addr == IO_ADDRESS:
             value &= MASK16
             self.printed.append(value)
@@ -127,7 +127,7 @@ class R8Simulator:
             )
         self._check_addr(addr)
         if addr in self.watchpoints:
-            self.watch_hits.append(("write", addr, value & MASK16, self.state.pc))
+            self.watch_hits.append(("write", addr, value & MASK16, pc))
         self.memory[addr] = value & MASK16
 
     # -- execution ----------------------------------------------------------------
@@ -147,8 +147,15 @@ class R8Simulator:
             instr = isa.decode(word)
         except isa.DecodeError as exc:
             raise SimulatorError(f"at {pc:#06x}: {exc}") from exc
-        self.state.pc = (pc + 1) & MASK16
-        semantics.execute(self.state, instr, self._read, self._write)
+        next_pc = (pc + 1) & MASK16
+        self.state.pc = next_pc
+        access = semantics.EXECUTE[instr.spec.mnemonic](self.state, instr)
+        # Watch hits record the post-fetch PC, not a JSR's jump target.
+        if isinstance(access, int):
+            value = self._read(access, next_pc)
+            semantics.finish_load(self.state, instr, value)
+        elif access is not None:
+            self._write(*access, next_pc)
         self.cycles += instr.spec.cycles
         self.instructions += 1
         name = instr.mnemonic

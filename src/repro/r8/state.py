@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List
 
-from .alu import Flags, MASK16
+from .alu import Flags
 
 #: Number of general-purpose registers ("16x16 bit register file").
 N_REGS = 16
@@ -35,12 +35,6 @@ class R8State:
         """Start executing from address 0 (the "activate processor" service)."""
         self.pc = 0
         self.halted = False
-
-    def set_reg(self, index: int, value: int) -> None:
-        self.regs[index] = value & MASK16
-
-    def get_reg(self, index: int) -> int:
-        return self.regs[index]
 
     def copy(self) -> "R8State":
         return R8State(

@@ -21,7 +21,6 @@ from .checkpoint import (
 )
 from .component import Component, SnapshotError
 from .kernel import SimulationTimeout, Simulator, stride_points
-from .trace import TraceEvent, Tracer
 from .vcd import VcdWriter
 from .wire import CheckedWire, HandshakeTx, Wire, make_channel
 
@@ -36,8 +35,6 @@ __all__ = [
     "SimulationTimeout",
     "Simulator",
     "SnapshotError",
-    "TraceEvent",
-    "Tracer",
     "VcdWriter",
     "Wire",
     "load_checkpoint",

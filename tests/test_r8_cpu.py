@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.r8 import LocalBus, R8Cpu, assemble
+from repro.r8 import LocalBus, R8Cpu, assemble, isa
 from repro.r8.bus import Transaction
 from repro.sim import Simulator
 
@@ -159,3 +159,18 @@ class TestActivation:
         assert cpu.halted
         assert cpu.cycles_active == 0
         assert cpu.state.regs[1] == 0
+
+
+class TestDecodeErrors:
+    def test_bad_word_names_core_and_pc(self):
+        bus = LocalBus()
+        bus.load([isa.encode(isa.Instruction(isa.spec("NOP"))), 0xBF00])
+        cpu = R8Cpu("proc7", bus)
+        sim = Simulator()
+        sim.add(cpu)
+        cpu.activate()
+        with pytest.raises(isa.DecodeError) as info:
+            sim.step(10)
+        assert str(info.value) == (
+            "proc7 at 0x0001: bad RR sub-opcode 0xf in word 0xbf00"
+        )

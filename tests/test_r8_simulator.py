@@ -217,6 +217,16 @@ class TestExecutionControl:
         kinds = [kind for kind, *_ in sim.watch_hits]
         assert kinds == ["write", "read"]
 
+    def test_watchpoint_records_post_fetch_pc_for_calls(self):
+        # The JSR write and the RTS read both record the PC that follows
+        # the instruction, never the jump target or the return address.
+        sim = R8Simulator()
+        sim.load(assemble("LDH R1, #0\nLDL R1, #0\nJSRD sub\nHALT\nsub: RTS"))
+        sim.watchpoints.add(0x3FF)
+        sim.activate()
+        sim.run()
+        assert sim.watch_hits == [("write", 1023, 3, 3), ("read", 1023, 3, 5)]
+
     def test_trace_records_instructions(self):
         sim = R8Simulator()
         sim.load(assemble("NOP\nHALT"))

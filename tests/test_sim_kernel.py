@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Component, SimulationTimeout, Simulator, Tracer, Wire
+from repro.sim import Component, SimulationTimeout, Simulator, Wire
 
 
 class Counter(Component):
@@ -204,25 +204,3 @@ class TestSimulator:
         sim = Simulator()
         sim.remove_watcher(lambda cycle: None)
         sim.step(1)
-
-
-class TestTracer:
-    def test_records_only_changes(self):
-        sim = Simulator()
-        c = sim.add(Counter())
-        w = Wire("static", reset=0)
-        tracer = Tracer([c.out, w])
-        sim.add_watcher(tracer.sample)
-        sim.step(3)
-        assert len(tracer.changes("counter.out")) == 3
-        assert tracer.changes("static") == []
-
-    def test_as_text_lists_events(self):
-        sim = Simulator()
-        c = sim.add(Counter())
-        tracer = Tracer([c.out])
-        sim.add_watcher(tracer.sample)
-        sim.step(2)
-        text = tracer.as_text()
-        assert "counter.out" in text
-        assert len(text.splitlines()) == 2
