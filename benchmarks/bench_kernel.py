@@ -11,11 +11,17 @@ regimes that bound its behaviour:
   orders of magnitude higher).
 * **saturated** — a mesh under heavy synthetic traffic: nothing can
   sleep, so the quiescent path must not cost materially more than
-  lock-step (its overhead is the per-unit awake check).
+  lock-step (its overhead is keeping the active list: merging woken
+  units in and dropping the ones that went to sleep).
 * **mixed** — bursty traffic with idle gaps, the realistic middle.
+* **one active core** — a single core spinning on a 2x2 and on a
+  16x16 mesh: the kernel evaluates only awake units, so the host cost
+  per cycle must not grow with the hundreds of sleeping routers
+  (16x16 at most 1.5x the 2x2 cost, CI gate).
 
-All three scenarios also double as equivalence checks: delivered packet
-counts and final cycle numbers must match bit-for-bit across modes.
+The traffic scenarios also double as equivalence checks: delivered
+packet counts and final cycle numbers must match bit-for-bit across
+modes.
 """
 
 import time
@@ -26,6 +32,16 @@ from repro.core import MultiNoCPlatform
 from repro.noc.network import HermesNetwork
 
 IDLE_CYCLES = 100_000
+SPIN_CYCLES = 20_000
+SPIN_ROUNDS = 3
+
+#: one core adding forever; nothing else on the platform has work
+SPIN_PROGRAM = """
+        CLR  R0
+        LDL  R1, 1
+loop:   ADD  R2, R2, R1
+        JMP  loop
+"""
 
 
 def _rate(cycles, seconds):
@@ -133,3 +149,60 @@ def test_kernel_mixed_duty_cycle(benchmark):
         ],
     )
     assert speedup > 1.0, "idle gaps must make the quiescent path faster"
+
+
+def _spin_session(topology):
+    """A platform whose only awake work is P1 spinning on ADD/JMP."""
+    session = MultiNoCPlatform(topology=topology, n_processors=1).launch()
+    session.start(1, SPIN_PROGRAM)
+    sim = session.sim
+    sim.run_until(lambda: session.system.idle, label="serial drain")
+    sim.step(1000)  # let the host and the routers fall asleep
+    return session
+
+
+def _spin_cost(session):
+    """Host seconds per simulated cycle of one spinning core."""
+    cpu = session.system.processor(1).cpu
+    retired = cpu.instructions_retired
+    t0 = time.perf_counter()
+    session.sim.step(SPIN_CYCLES)
+    dt = time.perf_counter() - t0
+    assert cpu.instructions_retired > retired, "P1 must be spinning"
+    return dt / SPIN_CYCLES
+
+
+def test_kernel_one_active_core(benchmark):
+    """One busy core: the host cost per cycle must not follow the fabric
+    size (CI gate: 16x16 at most 1.5x the 2x2 cost)."""
+    small, large = _spin_session("mesh:2x2"), _spin_session("mesh:16x16")
+
+    def both():
+        # alternate the two so host-speed drift hits both alike; the
+        # fastest round of each is its cost
+        costs = {"small": [], "large": []}
+        for _ in range(SPIN_ROUNDS):
+            costs["small"].append(_spin_cost(small))
+            costs["large"].append(_spin_cost(large))
+        return min(costs["small"]), min(costs["large"])
+
+    small_s, large_s = benchmark(both)
+    ratio = large_s / small_s
+    units = len(large.sim._units)
+    report(
+        benchmark,
+        "Kernel with one active core (ADD/JMP spin)",
+        [
+            ("mesh:2x2 (us/cycle)", "(baseline)", f"{small_s * 1e6:.2f}"),
+            (
+                f"mesh:16x16, {units} units (us/cycle)",
+                "<=1.5x 2x2",
+                f"{large_s * 1e6:.2f}",
+            ),
+            ("16x16 / 2x2", "<=1.5x (CI gate)", f"{ratio:.2f}x"),
+        ],
+    )
+    assert ratio <= 1.5, (
+        f"one spinning core costs {ratio:.2f}x more per cycle on 16x16 "
+        f"than on 2x2: the kernel's cost follows the sleeping units"
+    )

@@ -130,8 +130,17 @@ class Mesh(Component):
 
     @property
     def idle(self) -> bool:
-        """True when no router holds flits or open connections."""
-        return not any(r.busy for r in self.routers.values())
+        """True when no router holds flits or open connections.
+
+        A router the kernel holds asleep is skipped: it went to sleep
+        quiescent (no flits, no open connection, idle control logic)
+        and nothing has woken it since.  Under strict lock-step every
+        router reads as awake, so each one is checked.
+        """
+        for r in self.routers.values():
+            if r._awake and r.busy:
+                return False
+        return True
 
     def addresses(self):
         """All attachment-node addresses in (y, x) raster order."""

@@ -414,9 +414,14 @@ class HermesRouter(Component):
 
     @property
     def busy(self) -> bool:
-        """True while any buffer holds flits or any connection is open."""
-        return (
-            any(not f.is_empty for f in self.fifos)
-            or any(c is not None for c in self.in_conn)
-            or self._ctrl_state != _CTRL_IDLE
-        )
+        """True while any buffer holds flits, any connection is open or
+        the control logic is routing."""
+        if self._ctrl_state != _CTRL_IDLE:
+            return True
+        for f in self.fifos:
+            if f:
+                return True
+        for c in self.in_conn:
+            if c is not None:
+                return True
+        return False

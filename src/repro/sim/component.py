@@ -47,6 +47,7 @@ class Component:
         # -- kernel elaboration state (managed by Simulator) --------------
         self._kernel = None  # Simulator that elaborated this component
         self._sched = None  # schedulable unit owning this component
+        self._unit_pos = 0  # a unit's index in the kernel's unit list
         self._awake = True
         self._slept_since = None  # first cycle whose eval was skipped
         self._can_sleep = False  # cached: class overrides is_quiescent

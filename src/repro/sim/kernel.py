@@ -15,6 +15,16 @@ it, or a scheduled ``wake_at`` fires.  When *every* unit sleeps, the
 kernel fast-forwards ``self.cycle`` straight to the earliest scheduled
 wake (or the step/run budget) instead of spinning.
 
+The eval phase walks an *active list*: the awake units, kept in unit
+order, so a cycle costs in proportion to the awake units rather than to
+the fabric size.  Units woken by a wire commit, the wake heap or
+:meth:`Simulator.wake_unit` between eval phases are merged in (by unit
+position) before the next one; units that went to sleep are dropped
+when it ends.  A wake *during* the eval phase follows the rule of a
+scan over every unit in order: a unit after the one being evaluated
+runs in the same cycle, one before it runs next cycle, and a unit that
+slept earlier in the cycle and is woken again stays listed once.
+
 The results are cycle-exact with respect to the legacy schedule: a
 quiescent component's eval is by contract a no-op, and skipped idle
 evals are credited through ``on_wake`` so per-cycle counters (CPU stall
@@ -38,10 +48,24 @@ called with ``(start, end)`` before the landing-cycle watchers.
 
 from __future__ import annotations
 
+from bisect import insort
 from heapq import heapify, heappop, heappush
+from operator import attrgetter
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from .component import Component, SnapshotError
+
+#: sort key of the active list: a unit's index in the flattened unit list
+_POS = attrgetter("_unit_pos")
+
+
+def _reject_cycles(name: str, value) -> None:
+    """Raise for a cycle count that is not a non-negative ``int``."""
+    if type(value) is not int:
+        raise TypeError(
+            f"{name} must be an int, not {type(value).__name__} {value!r}"
+        )
+    raise ValueError(f"{name} must not be negative, got {value}")
 
 
 def stride_points(start: int, end: int, stride: int) -> Iterator[int]:
@@ -131,6 +155,16 @@ class Simulator:
         self._units: List[Component] = []
         self._unit_set: Set[Component] = set()
         self._n_awake = 0
+        #: the awake units in ``_units`` order: the eval phase's work list
+        self._active: List[Component] = []
+        #: units woken by ``wake_unit`` since the last merge into
+        #: ``_active`` (wire commits and the wake heap list theirs
+        #: directly: neither runs during the eval phase)
+        self._wakeq: List[Component] = []
+        #: units whose listing the current eval phase changed behind its
+        #: loop: ones that went to sleep, and ones woken before the unit
+        #: being evaluated
+        self._unsettled: List[Component] = []
         self._wake_heap: list = []  # (cycle, seq, unit)
         self._wake_seq = 0
         self._driven: list = []  # wires driven since the last commit
@@ -263,6 +297,7 @@ class Simulator:
         def walk(comp: Component, unit: Optional[Component]) -> None:
             if unit is None and type(comp).eval is not default_eval:
                 unit = comp
+                comp._unit_pos = len(units)
                 units.append(comp)
                 comp._can_sleep = (
                     type(comp).is_quiescent is not default_quiescent
@@ -299,14 +334,41 @@ class Simulator:
         for top in self._components:
             wire_sinks(top)
         self._n_awake = sum(1 for u in units if u._awake)
+        self._relist()
 
     # -- wake management -------------------------------------------------
+
+    def _relist(self) -> None:
+        """Rebuild the active list from the units' awake flags (in
+        place: a running :meth:`step` holds a reference to it)."""
+        self._active[:] = [u for u in self._units if u._awake]
+        self._wakeq.clear()
+        self._unsettled.clear()
 
     def wake_unit(self, unit: Component) -> None:
         """Mark a sleeping unit runnable (external mutation arrived)."""
         if not unit._awake and unit in self._unit_set:
             unit._awake = True
             self._n_awake += 1
+            self._wakeq.append(unit)
+
+    def _wake_during_eval(self, current: Component) -> None:
+        """Place the units woken while *current* was evaluated.
+
+        Same rule as a scan of every unit in order: a unit after
+        *current* is listed now and runs in this cycle (the eval loop
+        has not reached it yet, and a list iterator visits items
+        inserted after its position); one before it is listed when the
+        eval phase ends and runs next cycle.
+        """
+        active = self._active
+        pos = current._unit_pos
+        for u in self._wakeq:
+            if u._unit_pos > pos:
+                insort(active, u, key=_POS)
+            else:
+                self._unsettled.append(u)
+        self._wakeq.clear()
 
     def schedule_wake(self, unit: Component, cycle: int) -> None:
         """Wake *unit* at *cycle* (processed before that cycle's evals)."""
@@ -325,6 +387,7 @@ class Simulator:
                 u._slept_since = None
                 if self.cycle > s:
                     u.on_wake(self.cycle - s)
+        self._relist()
 
     # -- execution ---------------------------------------------------------
 
@@ -343,6 +406,7 @@ class Simulator:
             u._awake = True
             u._slept_since = None
         self._n_awake = len(self._units)
+        self._relist()
 
     # -- checkpointing ---------------------------------------------------
 
@@ -431,6 +495,7 @@ class Simulator:
         self._driven.clear()
         self.cycle = doc["cycle"]
         self._restore_scheduler(doc.get("scheduler"))
+        self._relist()
 
     def _restore_scheduler(self, sched: Optional[dict]) -> None:
         if self.strict_lockstep:
@@ -487,7 +552,14 @@ class Simulator:
             cc._last_wake_req = None
 
     def step(self, cycles: int = 1) -> int:
-        """Advance the simulation by *cycles* clock cycles."""
+        """Advance the simulation by *cycles* clock cycles.
+
+        Raises :class:`TypeError` unless *cycles* is an ``int`` (a
+        ``bool`` is not) and :class:`ValueError` if it is negative, in
+        either kernel mode.
+        """
+        if type(cycles) is not int or cycles < 0:
+            _reject_cycles("cycles", cycles)
         if self.profiler is not None:
             return self._step_profiled(cycles)
         if self.strict_lockstep:
@@ -495,28 +567,36 @@ class Simulator:
         if self._needs_elab:
             self._elaborate()
         units = self._units
+        active = self._active
+        wakeq = self._wakeq
+        unsettled = self._unsettled
         watchers = self._watchers
         heap = self._wake_heap
         driven = self._driven
         unit_set = self._unit_set
         target = self.cycle + cycles
-        while self.cycle < target:
-            cyc = self.cycle
-            # hostperf: wake_heap
-            while heap and heap[0][0] <= cyc:
-                unit = heappop(heap)[2]
-                if not unit._awake and unit in unit_set:
-                    unit._awake = True
-                    self._n_awake += 1
-            if self._n_awake == 0 and units:
-                land = heap[0][0] if heap else target
-                if land > target:
-                    land = target
-                self._fast_forward(cyc, land)
-                continue
-            # hostperf: eval
-            for u in units:
-                if u._awake:
+        try:
+            while self.cycle < target:
+                cyc = self.cycle
+                # hostperf: wake_heap
+                while heap and heap[0][0] <= cyc:
+                    unit = heappop(heap)[2]
+                    if not unit._awake and unit in unit_set:
+                        unit._awake = True
+                        self._n_awake += 1
+                        insort(active, unit, key=_POS)
+                if self._n_awake == 0 and units:
+                    land = heap[0][0] if heap else target
+                    if land > target:
+                        land = target
+                    self._fast_forward(cyc, land)
+                    continue
+                # hostperf: eval
+                if wakeq:
+                    for u in wakeq:
+                        insort(active, u, key=_POS)
+                    wakeq.clear()
+                for u in active:
                     s = u._slept_since
                     if s is not None:
                         u._slept_since = None
@@ -527,24 +607,42 @@ class Simulator:
                         u._awake = False
                         u._slept_since = cyc + 1
                         self._n_awake -= 1
-            # hostperf: commit
-            if driven:
-                n_awake = self._n_awake
-                for w in driven:
-                    w._queued = False
-                    nxt = w._next
-                    if w.value != nxt:
-                        w.value = nxt
-                        for su in w._sinks:
-                            if not su._awake:
-                                su._awake = True
-                                n_awake += 1
-                self._n_awake = n_awake
-                driven.clear()
-            self.cycle = cyc + 1
-            # hostperf: watchers
-            for fn in watchers:
-                fn(self.cycle)
+                        unsettled.append(u)
+                    if wakeq:
+                        self._wake_during_eval(u)
+                if unsettled:
+                    # drop the units that went to sleep; list the ones
+                    # woken behind the loop (they run next cycle); one
+                    # that slept and was woken again is still listed
+                    for u in unsettled:
+                        if not u._awake:
+                            active.remove(u)
+                        elif u not in active:
+                            insort(active, u, key=_POS)
+                    unsettled.clear()
+                # hostperf: commit
+                if driven:
+                    n_awake = self._n_awake
+                    for w in driven:
+                        w._queued = False
+                        nxt = w._next
+                        if w.value != nxt:
+                            w.value = nxt
+                            for su in w._sinks:
+                                if not su._awake:
+                                    su._awake = True
+                                    n_awake += 1
+                                    insort(active, su, key=_POS)
+                    self._n_awake = n_awake
+                    driven.clear()
+                self.cycle = cyc + 1
+                # hostperf: watchers
+                for fn in watchers:
+                    fn(self.cycle)
+        except BaseException:
+            # an exception can leave this cycle's sleepers listed
+            self._relist()
+            raise
         return self.cycle
 
     def _step_lockstep(self, cycles: int) -> int:
@@ -615,13 +713,17 @@ class Simulator:
         """Step until *predicate()* is true; return cycles consumed.
 
         Raises :class:`SimulationTimeout` after *max_cycles* additional
-        cycles so a deadlocked model fails loudly instead of spinning.
+        cycles so a deadlocked model fails loudly instead of spinning,
+        and rejects a *max_cycles* that is not a non-negative ``int``
+        with the same exceptions as :meth:`step`.
 
         On the quiescent path the predicate is evaluated at every cycle
         with activity plus the budget boundary; while every unit sleeps
         the state it could observe is frozen, so skipping the idle span
         between activity points is exact for state-based predicates.
         """
+        if type(max_cycles) is not int or max_cycles < 0:
+            _reject_cycles("max_cycles", max_cycles)
         start = self.cycle
         budget = start + max_cycles
         fast = self.profiler is None and not self.strict_lockstep

@@ -365,3 +365,139 @@ class TestElaborationInvalidation:
         sim.step(1)
         parent.remove_child(other)
         assert sim._needs_elab
+
+
+# ---------------------------------------------------------------------------
+# Wakes during the eval phase
+# ---------------------------------------------------------------------------
+
+
+class Toy(Component):
+    """Does one job per eval while it has jobs, logging ``(cycle, name)``,
+    and hands jobs to other toys on the cycles listed in ``pokes``.  With
+    ``start`` it gives itself one job at that cycle (booked with
+    ``wake_at`` while asleep)."""
+
+    def __init__(self, name, log, start=None):
+        super().__init__(name)
+        self.log = log
+        self.start = start
+        self.jobs = 0
+        self.pokes = {}
+        self._cycle = 0
+
+    def give(self, jobs):
+        self.jobs += jobs
+        self.wake()
+
+    def eval(self, cycle):
+        self._cycle = cycle
+        if cycle == self.start:
+            self.jobs += 1
+        if self.jobs:
+            self.jobs -= 1
+            self.log.append((cycle, self.name))
+            for toy, jobs in self.pokes.get(cycle, ()):
+                toy.give(jobs)
+
+    def is_quiescent(self):
+        if self.start is not None and self._cycle < self.start:
+            self.wake_at(self.start)
+        return not self.jobs
+
+
+def _run_toys(strict):
+    log = []
+    a, b, c = Toy("A", log, start=5), Toy("B", log), Toy("C", log)
+    # A wakes C (after A: same cycle) and B (B then sleeps again);
+    # C re-wakes B, which slept earlier in this cycle, and wakes A
+    # (before C: next cycle).  B's two jobs take two cycles: a unit
+    # listed twice would do both in one.
+    a.pokes = {5: [(c, 1), (b, 1)]}
+    c.pokes = {5: [(b, 2), (a, 1)]}
+    sim = Simulator(strict_lockstep=strict)
+    for toy in (a, b, c):
+        sim.add(toy)
+    sim.step(12)
+    return log
+
+
+class Boom(Component):
+    """Raises at its first eval, then idles."""
+
+    def __init__(self):
+        super().__init__("boom")
+        self.armed = True
+
+    def eval(self, cycle):
+        if self.armed:
+            self.armed = False
+            raise RuntimeError("boom")
+
+    def is_quiescent(self):
+        return True
+
+
+class TestWakesDuringEval:
+    def test_eval_logs_match_lockstep(self):
+        strict = _run_toys(strict=True)
+        assert strict == [
+            (5, "A"), (5, "B"), (5, "C"), (6, "A"), (6, "B"), (7, "B")
+        ]
+        assert _run_toys(strict=False) == strict
+
+    def test_exception_mid_eval_keeps_the_schedule(self):
+        # A goes to sleep in the cycle Boom raises in; the kernel must
+        # not keep evaluating it, and must fast-forward once both sleep
+        a = Toy("A", [])
+        sim = Simulator()
+        sim.add(a)
+        sim.add(Boom())
+        with pytest.raises(RuntimeError, match="boom"):
+            sim.step(1)
+        skips = []
+        sim.add_skip_listener(lambda start, end: skips.append((start, end)))
+        assert sim.step(10) == 10
+        assert skips == [(1, 10)]
+        assert sim._n_awake == 0
+
+
+# ---------------------------------------------------------------------------
+# Cycle counts must be non-negative ints in both modes
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("strict", [True, False])
+class TestCycleCountValidation:
+    def _sim(self, strict):
+        return MultiNoCPlatform.standard().launch(strict_lockstep=strict).sim
+
+    @pytest.mark.parametrize("cycles", [1.5, True, "3", None])
+    def test_step_rejects_non_int(self, strict, cycles):
+        sim = self._sim(strict)
+        start = sim.cycle
+        with pytest.raises(TypeError, match="cycles must be an int"):
+            sim.step(cycles)
+        assert sim.cycle == start and type(sim.cycle) is int
+
+    def test_step_rejects_negative(self, strict):
+        sim = self._sim(strict)
+        with pytest.raises(ValueError, match="must not be negative"):
+            sim.step(-1)
+
+    def test_step_zero_is_a_no_op(self, strict):
+        sim = self._sim(strict)
+        start = sim.cycle
+        assert sim.step(0) == start
+
+    def test_run_until_rejects_non_int_budget(self, strict):
+        sim = self._sim(strict)
+        start = sim.cycle
+        with pytest.raises(TypeError, match="max_cycles must be an int"):
+            sim.run_until(lambda: False, max_cycles=2.5)
+        assert sim.cycle == start
+
+    def test_run_until_rejects_negative_budget(self, strict):
+        sim = self._sim(strict)
+        with pytest.raises(ValueError, match="must not be negative"):
+            sim.run_until(lambda: True, max_cycles=-1)

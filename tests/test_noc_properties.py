@@ -10,6 +10,7 @@ from collections import Counter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps.workloads import TrafficConfig, drive_traffic
 from repro.noc import HermesNetwork
 
 
@@ -96,6 +97,44 @@ def test_network_drains_and_goes_idle(case):
     assert probe.latency == model_latency(
         hops(probe_src, probe_dst), 4, routing_cycles=routing_cycles
     )
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    kind=st.sampled_from(["mesh", "torus"]),
+    width=st.integers(2, 4),
+    height=st.integers(2, 4),
+    depth=st.sampled_from([1, 2, 4]),
+    rate=st.sampled_from([0.005, 0.02, 0.08]),
+    seed=st.integers(0, 2**16),
+)
+def test_mesh_idle_matches_full_router_scan(
+    kind, width, height, depth, rate, seed
+):
+    """``Mesh.idle`` skips routers the quiescent kernel holds asleep; at
+    every cycle boundary it must equal a check of every router."""
+    net = HermesNetwork(topology=f"{kind}:{width}x{height}", buffer_depth=depth)
+    sim = net.make_simulator()
+    config = TrafficConfig(rate=rate, duration=150, seed=seed)
+    sources = drive_traffic(net, config)
+    mesh = net.mesh
+    routers = list(mesh.routers.values())
+    seen = {"cycles": 0, "asleep": 0}
+
+    def check(cycle):
+        full = not any(r.busy for r in routers)
+        assert mesh.idle == full, f"mesh.idle wrong at cycle {cycle}"
+        seen["cycles"] += 1
+        seen["asleep"] += sum(1 for r in routers if not r._awake)
+
+    sim.add_watcher(check)
+    sim.reset()
+    sim.step(config.duration)
+    sim.run_until(
+        lambda: all(s.done for s in sources) and net.drained,
+        max_cycles=100_000,
+    )
+    assert seen["cycles"] > 0 and seen["asleep"] > 0
 
 
 class TestUtilisationReporting:
