@@ -17,7 +17,13 @@ regimes that bound its behaviour:
 * **one active core** — a single core spinning on a 2x2 and on a
   16x16 mesh: the kernel evaluates only awake units, so the host cost
   per cycle must not grow with the hundreds of sleeping routers
-  (16x16 at most 1.5x the 2x2 cost, CI gate).
+  (16x16 at most 1.5x the 2x2 cost, CI gate).  The spin loop's ADD
+  changes a register every iteration, so it is not an idle loop and
+  the core stays awake (asserted).
+* **polling cores** — two cores polling a flag nobody writes on a 2x2
+  mesh: each sleeps in its idle loop and the kernel fast-forwards, so
+  the quiescent path must be at least 10x faster per cycle than
+  lock-step with identical core counters (CI gate).
 
 The traffic scenarios also double as equivalence checks: delivered
 packet counts and final cycle numbers must match bit-for-bit across
@@ -41,6 +47,18 @@ SPIN_PROGRAM = """
         LDL  R1, 1
 loop:   ADD  R2, R2, R1
         JMP  loop
+"""
+
+POLL_CYCLES = 50_000
+
+#: the edge worker's poll loop on a flag word nobody writes
+POLL_PROGRAM = """
+        CLR  R0
+poll:   LDI  R2, 0x2C0
+        LD   R12, R2, R0
+        OR   R12, R12, R12
+        JMPZD poll
+        HALT
 """
 
 
@@ -163,12 +181,13 @@ def _spin_session(topology):
 
 def _spin_cost(session):
     """Host seconds per simulated cycle of one spinning core."""
-    cpu = session.system.processor(1).cpu
-    retired = cpu.instructions_retired
+    proc = session.system.processor(1)
+    retired = proc.cpu.instructions_retired
     t0 = time.perf_counter()
     session.sim.step(SPIN_CYCLES)
     dt = time.perf_counter() - t0
-    assert cpu.instructions_retired > retired, "P1 must be spinning"
+    assert proc.cpu.instructions_retired > retired, "P1 must be spinning"
+    assert proc._awake, "the spin loop is no idle loop: P1 must stay awake"
     return dt / SPIN_CYCLES
 
 
@@ -205,4 +224,56 @@ def test_kernel_one_active_core(benchmark):
     assert ratio <= 1.5, (
         f"one spinning core costs {ratio:.2f}x more per cycle on 16x16 "
         f"than on 2x2: the kernel's cost follows the sleeping units"
+    )
+
+
+def _poll_session(strict):
+    """P1 and P2 polling a flag nobody writes; everything else idle."""
+    session = MultiNoCPlatform.standard().launch(strict_lockstep=strict)
+    session.start(1, POLL_PROGRAM)
+    session.start(2, POLL_PROGRAM)
+    sim = session.sim
+    sim.run_until(lambda: session.system.idle, label="serial drain")
+    sim.step(1000)  # let the loops be captured and the IPs fall asleep
+    return session
+
+
+def _poll_cost(session):
+    """(host seconds per cycle, per-core counters after the run)."""
+    t0 = time.perf_counter()
+    session.sim.step(POLL_CYCLES)
+    dt = time.perf_counter() - t0
+    counters = [
+        (ip.cpu.instructions_retired, ip.cpu.cycles_active, ip.cpu.cycles_stalled)
+        for ip in session.system.processors.values()
+    ]
+    return dt / POLL_CYCLES, counters
+
+
+def test_kernel_polling_core(benchmark):
+    """Two polling cores: idle-loop sleep must make the quiescent kernel
+    at least 10x faster per cycle than lock-step (CI gate), with the
+    same core counters."""
+    strict, quiescent = _poll_session(True), _poll_session(False)
+    assert strict.sim.cycle == quiescent.sim.cycle
+
+    def both():
+        return _poll_cost(strict), _poll_cost(quiescent)
+
+    (strict_s, strict_counters), (quiet_s, quiet_counters) = benchmark(both)
+    assert quiet_counters == strict_counters, "modes must agree bit-for-bit"
+    assert all(retired > 0 for retired, _, _ in quiet_counters)
+    speedup = strict_s / quiet_s
+    report(
+        benchmark,
+        "Kernel with two polling cores (idle-loop sleep)",
+        [
+            ("strict lock-step (us/cycle)", "(baseline)", f"{strict_s * 1e6:.2f}"),
+            ("quiescent (us/cycle)", "<=0.1x strict", f"{quiet_s * 1e6:.3f}"),
+            ("polling speedup", ">=10x (CI gate)", f"{speedup:.0f}x"),
+        ],
+    )
+    assert speedup >= 10.0, (
+        f"two polling cores must sleep in their idle loops: quiescent is "
+        f"only {speedup:.1f}x faster per cycle than lock-step"
     )

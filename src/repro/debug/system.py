@@ -190,6 +190,7 @@ class SystemDebugger:
         self._hits: List[str] = []
         self._replaying = False
         self._pending_record = False
+        self._every_cycle = False
         self._hook_host_sends()
 
         self._commands: Dict[str, Callable[[List[str]], str]] = {
@@ -237,6 +238,7 @@ class SystemDebugger:
         but go inert: their condition sets are only mutable through the
         debugger)."""
         self.sim.remove_watcher(self._on_cycle)
+        self.sim.remove_stride_watcher(self._on_cycle)
         self.sim.remove_watcher(self.vcd.sample)
         self.ring.detach()
         if getattr(self.sim, "checkpoint_ring", None) is self.ring:
@@ -418,6 +420,28 @@ class SystemDebugger:
                     self._record_hit(f"expression {name!r} ({rec['src']}) true")
                 rec["last"] = value
 
+    def _observe_every_cycle(self) -> None:
+        """Check break conditions on every cycle while a PC breakpoint
+        or a watch expression is armed.
+
+        Both read core state, which keeps changing while a core sleeps
+        in an idle loop: a plain watcher would see it only where the
+        kernel lands after fast-forwarding, a stride-1 watcher sees it
+        on each cycle, as lock-step does.
+        """
+        every = bool(self._exprs) or any(
+            dbg.sim.breakpoints for dbg in self._cores.values()
+        )
+        if every == self._every_cycle:
+            return
+        self._every_cycle = every
+        if every:
+            self.sim.remove_watcher(self._on_cycle)
+            self.sim.add_stride_watcher(self._on_cycle, 1)
+        else:
+            self.sim.remove_stride_watcher(self._on_cycle)
+            self.sim.add_watcher(self._on_cycle)
+
     def _expr_env(self) -> dict:
         env = {"cycle": self.sim.cycle, "stats": self.system.stats}
         for pid, proc in self.system.processors.items():
@@ -532,12 +556,16 @@ class SystemDebugger:
     def _cmd_break(self, args: List[str]) -> str:
         if len(args) < 2:
             raise DebuggerError("break needs <pid> <addr>")
-        return self._core(self._pid(args[0])).execute(f"break {args[1]}")
+        out = self._core(self._pid(args[0])).execute(f"break {args[1]}")
+        self._observe_every_cycle()
+        return out
 
     def _cmd_unbreak(self, args: List[str]) -> str:
         if len(args) < 2:
             raise DebuggerError("unbreak needs <pid> <addr>")
-        return self._core(self._pid(args[0])).execute(f"unbreak {args[1]}")
+        out = self._core(self._pid(args[0])).execute(f"unbreak {args[1]}")
+        self._observe_every_cycle()
+        return out
 
     def _cmd_watch(self, args: List[str]) -> str:
         if len(args) < 2:
@@ -551,6 +579,8 @@ class SystemDebugger:
         self._ensure_bank_hook(name, banks)
         if pid is not None:
             self._core(pid).sim.watchpoints.add(addr)
+            # a core asleep in an idle loop resumes polling, now watched
+            self.system.processors[pid].wake()
         return f"watchpoint ({mode}) set at {name}@{addr:04x}"
 
     def _cmd_unwatch(self, args: List[str]) -> str:
@@ -629,6 +659,7 @@ class SystemDebugger:
         except SyntaxError as exc:
             raise DebuggerError(f"bad expression: {exc}") from exc
         self._exprs[name] = {"src": src, "code": code, "last": False}
+        self._observe_every_cycle()
         self._prime()
         return f"expression {name!r} armed: {src}"
 
@@ -636,6 +667,7 @@ class SystemDebugger:
         if not args:
             raise DebuggerError("unexpr needs a name")
         self._exprs.pop(args[0], None)
+        self._observe_every_cycle()
         return f"expression {args[0]!r} dropped"
 
     def _cmd_info(self, args: List[str]) -> str:

@@ -23,11 +23,35 @@ A data access that the environment cannot complete immediately (remote
 memory, I/O, wait/notify — anything crossing the NoC) leaves its
 :class:`~repro.r8.bus.Transaction` pending, and the core simply stays in
 its MEM/WRITE state: that *is* the ``waitR8`` stall of Figure 5.
+
+Idle loops
+----------
+A core polling a flag (``poll: LDI / LD / OR / JMPZD poll``) repeats
+one iteration exactly until something outside the core writes its
+memory.  The core recognises such a loop at a taken backward branch:
+when the architectural state at the loop head (registers, flags, SP,
+PC) equals its value one iteration earlier, and that iteration made no
+store and no load that did not complete locally at once, the next
+iteration is captured cycle by cycle (:class:`IdleLoop`).  From then on
+the core reports :attr:`R8Cpu.loop_ready` each time it is back at the
+head, which lets its Processor IP sleep there; :meth:`R8Cpu.replay_loop`
+later restores the exact lock-step state *n* cycles on and credits the
+counters and PC samples those cycles would have accumulated.  The
+enclosing IP forgets the loop (:meth:`R8Cpu.forget_loop`) whenever
+something outside the core changes what the loop could observe.
+
+Between kernel steps a sleeping core's state lags lock-step.  Every
+public read of it -- :attr:`R8Cpu.state`, the performance counters,
+:attr:`R8Cpu.progress`, :attr:`R8Cpu.fsm_state` and the PC-sample flush --
+first settles the core's scheduling unit to the current cycle
+(:meth:`~repro.sim.kernel.Simulator.settle`), so it returns exactly the
+lock-step value.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from collections import Counter
+from typing import List, Optional
 
 from ..sim import Component
 from . import isa
@@ -50,6 +74,28 @@ _STATE_NAMES = {
     S_WRITE: "WRITE",
 }
 
+
+class IdleLoop:
+    """One captured iteration of a side-effect-free loop.
+
+    Built from one ``(micro-state, PC-sample bucket, retired)`` entry
+    per cycle of the iteration.  ``phases[k]`` is the core's complete
+    micro-state *k* cycles after the loop head (phase 0 is the head
+    itself): FSM state, instruction, transaction, MEM settle count,
+    registers, flags, PC, SP and sampled PC.  ``keys[k]`` is the
+    PC-sample bucket the eval at phase *k* charges and ``retired_at[k]``
+    the instructions retired since the head; ``counts`` and ``retired``
+    total them over one period.
+    """
+
+    __slots__ = ("phases", "keys", "retired_at", "counts", "retired")
+
+    def __init__(self, entries: List[tuple], retired: int):
+        self.phases, self.keys, self.retired_at = map(list, zip(*entries))
+        self.counts = Counter(self.keys)
+        self.retired = retired
+
+
 class R8Cpu(Component):
     """One R8 core attached to a :class:`~repro.r8.bus.MemoryBus`.
 
@@ -60,7 +106,7 @@ class R8Cpu(Component):
     def __init__(self, name: str, bus: MemoryBus):
         super().__init__(name)
         self.bus = bus
-        self.state = R8State()
+        self._st = R8State()
         self._fsm = S_HALT
         self._instr: Optional[isa.Instruction] = None
         self._txn: Optional[Transaction] = None
@@ -68,10 +114,10 @@ class R8Cpu(Component):
         #: externally forced stall (the "wait" *packet* service): while
         #: True the core idles at its next fetch boundary.
         self.paused = False
-        # performance counters
-        self.cycles_active = 0
-        self.cycles_stalled = 0
-        self.instructions_retired = 0
+        # performance counters (read through the settling properties)
+        self._active = 0
+        self._stalled = 0
+        self._retired = 0
         #: optional TelemetrySink; one None-check per active cycle
         self.sink = None
         self._now = 0
@@ -85,12 +131,48 @@ class R8Cpu(Component):
         self.pc_samples: Optional[dict] = None
         self._cur_pc = 0
         self._call_key: tuple = ()
+        # idle-loop detection (see the module docstring): the state at
+        # the last taken backward branch, the counters then, the
+        # iteration being captured, the captured loop, the
+        # ``_active`` value at the last head visit of that loop, and the
+        # phase a sleeping replay has reached
+        self._lregs: Optional[list] = None
+        self._lkey: Optional[tuple] = None
+        self._lmark = (0, 0)
+        self._lcap: Optional[list] = None
+        self._loop: Optional[IdleLoop] = None
+        self._lready = -1
+        self._lphase = 0
+
+    # -- settled reads -------------------------------------------------------
+
+    @property
+    def state(self) -> R8State:
+        """Registers, PC, SP and flags, settled to the current cycle."""
+        self.settle()
+        return self._st
+
+    @property
+    def cycles_active(self) -> int:
+        self.settle()
+        return self._active
+
+    @property
+    def cycles_stalled(self) -> int:
+        self.settle()
+        return self._stalled
+
+    @property
+    def instructions_retired(self) -> int:
+        self.settle()
+        return self._retired
 
     # -- control ------------------------------------------------------------
 
     def activate(self) -> None:
         """Start (or restart) execution from local address 0."""
-        self.state.activate()
+        self.forget_loop()
+        self._st.activate()
         self._fsm = S_FETCH
         self._instr = None
         self._txn = None
@@ -108,6 +190,8 @@ class R8Cpu(Component):
         behaviour — it only reads the FSM.
         """
         if self.pc_samples is None:
+            # a loop captured before sampling has stale sample buckets
+            self.forget_loop()
             self.pc_samples = {}
 
     def flush_pc_samples(self) -> int:
@@ -117,7 +201,10 @@ class R8Cpu(Component):
         No-op (returning 0) when sampling is disabled or no sink is
         attached.
         """
-        if self.pc_samples is None or self.sink is None or not self.pc_samples:
+        if self.pc_samples is None or self.sink is None:
+            return 0
+        self.settle()
+        if not self.pc_samples:
             return 0
         buckets = sorted(self.pc_samples.items())
         for (stack, pc), cycles in buckets:
@@ -148,16 +235,25 @@ class R8Cpu(Component):
 
     @property
     def sleepable(self) -> bool:
-        """True when the next eval cannot change core state: halted,
-        paused at a fetch boundary (the "wait" service), or stalled on a
-        bus transaction that only an external event can complete.  Used
-        by the enclosing IP's quiescence predicate; skipped cycles are
-        re-credited through :meth:`credit_idle_cycles`."""
+        """True when the kernel may skip the core's evals: halted,
+        paused at a fetch boundary (the "wait" service) or stalled on a
+        bus transaction that only an external event can complete (the
+        next eval cannot change core state; skipped cycles are
+        re-credited through :meth:`credit_idle_cycles`), or at the head
+        of a captured idle loop (:attr:`loop_ready`; skipped cycles are
+        replayed by :meth:`replay_loop`).  Used by the enclosing IP's
+        quiescence predicate."""
         if self._fsm == S_HALT:
             return True
         if self._fsm == S_FETCH:
-            return self.paused
+            return self.paused or self.loop_ready
         return self.stalled
+
+    @property
+    def loop_ready(self) -> bool:
+        """True right after the core reached the head of a captured idle
+        loop: from here :meth:`replay_loop` can stand in for its evals."""
+        return self._lready == self._active and self._loop is not None
 
     def credit_idle_cycles(self, n: int) -> None:
         """Account *n* kernel-skipped idle evals exactly as lock-step
@@ -165,15 +261,69 @@ class R8Cpu(Component):
         stalled core accrues active+stalled cycles and PC samples."""
         if n <= 0 or self._fsm == S_HALT:
             return
-        self.cycles_active += n
-        self.cycles_stalled += n
+        self._active += n
+        self._stalled += n
+        if self.sink is not None:
+            self._now += n
         if self.pc_samples is not None:
-            pc = self.state.pc if self._fsm == S_FETCH else self._cur_pc
+            pc = self._st.pc if self._fsm == S_FETCH else self._cur_pc
             key = (self._call_key, pc)
             self.pc_samples[key] = self.pc_samples.get(key, 0) + n
 
+    def replay_loop(self, n: int) -> None:
+        """Advance a core sleeping in its idle loop by *n* cycles.
+
+        Restores the micro-state lock-step evaluation would have reached
+        (phase ``(phase + n) mod period`` of the captured iteration) and
+        credits active cycles, retired instructions and PC samples.  The
+        loop stays captured, so the kernel may settle the same sleep
+        several times.
+        """
+        if n <= 0:
+            return
+        loop = self._loop
+        phases = loop.phases
+        p = self._lphase
+        full, q = divmod(p + n, len(phases))
+        self._active += n
+        retired_at = loop.retired_at
+        self._retired += full * loop.retired + retired_at[q] - retired_at[p]
+        if self.sink is not None:
+            self._now += n
+        samples = self.pc_samples
+        if samples is not None:
+            keys = loop.keys
+            if full:
+                for key in keys[p:] + keys[:q]:
+                    samples[key] = samples.get(key, 0) + 1
+                for key, count in loop.counts.items():
+                    samples[key] = samples.get(key, 0) + (full - 1) * count
+            else:
+                for key in keys[p:q]:
+                    samples[key] = samples.get(key, 0) + 1
+        (self._fsm, self._instr, self._txn, self._mem_settle, regs, flags,
+         pc, sp, self._cur_pc) = phases[q]
+        st = self._st
+        st.regs[:] = regs
+        st.flags.n, st.flags.z, st.flags.c, st.flags.v = flags
+        st.pc = pc
+        st.sp = sp
+        self._lphase = q
+
+    def forget_loop(self) -> None:
+        """Drop any detected or captured idle loop: something outside
+        the core changed what the loop could observe.  A core sleeping
+        in its loop is settled to the current cycle and woken first."""
+        self.settle()
+        self.wake()
+        self._lkey = None
+        self._lcap = None
+        self._loop = None
+        self._lphase = 0
+
     @property
     def fsm_state(self) -> str:
+        self.settle()
         return _STATE_NAMES[self._fsm]
 
     @property
@@ -184,27 +334,30 @@ class R8Cpu(Component):
         core whose progress tuple stays frozen is wedged (a never-answered
         scanf, a lost read return, a wait with no notify...).
         """
-        return (self.state.pc, self.instructions_retired)
+        self.settle()
+        return (self._st.pc, self._retired)
 
     def cpi(self) -> float:
         """Measured clocks per instruction since reset."""
-        if self.instructions_retired == 0:
+        retired = self.instructions_retired
+        if retired == 0:
             return 0.0
-        return self.cycles_active / self.instructions_retired
+        return self._active / retired
 
     # -- simulation -----------------------------------------------------------
 
     def reset(self) -> None:
+        self.forget_loop()
         super().reset()
-        self.state.reset()
+        self._st.reset()
         self._fsm = S_HALT
         self._instr = None
         self._txn = None
         self._mem_settle = 0
         self.paused = False
-        self.cycles_active = 0
-        self.cycles_stalled = 0
-        self.instructions_retired = 0
+        self._active = 0
+        self._stalled = 0
+        self._retired = 0
         self._burst_start = None
         self._stall_start = None
         if self.pc_samples is not None:
@@ -215,7 +368,7 @@ class R8Cpu(Component):
     # -- checkpointing -----------------------------------------------------
 
     def snapshot_state(self) -> dict:
-        st = self.state
+        st = self._st
         txn = self._txn
         return {
             "regs": list(st.regs),
@@ -232,9 +385,9 @@ class R8Cpu(Component):
             ),
             "mem_settle": self._mem_settle,
             "paused": self.paused,
-            "cycles_active": self.cycles_active,
-            "cycles_stalled": self.cycles_stalled,
-            "instructions_retired": self.instructions_retired,
+            "cycles_active": self._active,
+            "cycles_stalled": self._stalled,
+            "instructions_retired": self._retired,
             "now": self._now,
             "burst_start": self._burst_start,
             "burst_base": self._burst_base,
@@ -252,7 +405,8 @@ class R8Cpu(Component):
         }
 
     def restore_state(self, state: dict) -> None:
-        st = self.state
+        self.forget_loop()
+        st = self._st
         st.regs[:] = state["regs"]
         st.pc = state["pc"]
         st.sp = state["sp"]
@@ -272,9 +426,9 @@ class R8Cpu(Component):
             self._txn = t
         self._mem_settle = state["mem_settle"]
         self.paused = state["paused"]
-        self.cycles_active = state["cycles_active"]
-        self.cycles_stalled = state["cycles_stalled"]
-        self.instructions_retired = state["instructions_retired"]
+        self._active = state["cycles_active"]
+        self._stalled = state["cycles_stalled"]
+        self._retired = state["instructions_retired"]
         self._now = state["now"]
         self._burst_start = state["burst_start"]
         self._burst_base = state["burst_base"]
@@ -292,19 +446,21 @@ class R8Cpu(Component):
     def eval(self, cycle: int) -> None:
         if self._fsm == S_HALT:
             return
-        self.cycles_active += 1
+        if self._lcap is not None:
+            self._capture_phase()
+        self._active += 1
         if self.sink is not None:
             self._telemetry_tick(cycle)
         if self.pc_samples is not None:
             # FETCH cycles (and pause-at-fetch stalls) belong to the
             # instruction about to be fetched; later FSM states to the
             # instruction fetched earlier.
-            pc = self.state.pc if self._fsm == S_FETCH else self._cur_pc
+            pc = self._st.pc if self._fsm == S_FETCH else self._cur_pc
             key = (self._call_key, pc)
             self.pc_samples[key] = self.pc_samples.get(key, 0) + 1
         if self._fsm == S_FETCH:
             if self.paused:
-                self.cycles_stalled += 1
+                self._stalled += 1
                 return
             self._do_fetch()
         elif self._fsm == S_EXEC:
@@ -318,18 +474,18 @@ class R8Cpu(Component):
 
     def _do_fetch(self) -> None:
         if self.pc_samples is not None:
-            self._cur_pc = self.state.pc
-        pc = self.state.pc
+            self._cur_pc = self._st.pc
+        pc = self._st.pc
         word = self.bus.fetch(pc)
         try:
             self._instr = isa.decode(word)
         except isa.DecodeError as exc:
             raise isa.DecodeError(f"{self.name} at {pc:#06x}: {exc}") from exc
-        self.state.pc = (pc + 1) & MASK16
+        self._st.pc = (pc + 1) & MASK16
         self._fsm = S_EXEC
 
     def _retire(self, next_state: int = S_FETCH) -> None:
-        self.instructions_retired += 1
+        self._retired += 1
         self._instr = None
         self._txn = None
         self._fsm = next_state
@@ -344,7 +500,7 @@ class R8Cpu(Component):
         self._now = cycle
         if self._burst_start is None:
             self._burst_start = cycle
-            self._burst_base = self.instructions_retired
+            self._burst_base = self._retired
             self.sink.instant(self.name, "activate", cycle)
         stalled = self.stalled or (self.paused and self._fsm == S_FETCH)
         if stalled:
@@ -367,26 +523,99 @@ class R8Cpu(Component):
             "exec",
             self._burst_start,
             self._now + 1 - self._burst_start,
-            retired=self.instructions_retired - self._burst_base,
+            retired=self._retired - self._burst_base,
         )
         self._burst_start = None
 
     def _do_exec(self) -> None:
         instr = self._instr
         assert instr is not None
-        access = EXECUTE[instr.spec.mnemonic](self.state, instr)
+        st = self._st
+        next_pc = st.pc
+        access = EXECUTE[instr.spec.mnemonic](st, instr)
         if access is None:
-            self._retire(S_HALT if self.state.halted else S_FETCH)
+            self._retire(S_HALT if st.halted else S_FETCH)
+            if st.pc < next_pc:
+                self._loop_head()
         elif isinstance(access, int):
-            self._txn = self.bus.read(access)
+            txn = self._txn = self.bus.read(access)
+            if not txn.done:
+                self._lkey = None  # a load crossing the NoC: not idle
             self._mem_settle = 1
             self._fsm = S_MEM
         else:
             if self.pc_samples is not None and instr.spec.fmt is isa.Fmt.SUBR:
                 # JSRR/JSRD: the call site joins the sampled call stack
                 self._call_key = self._call_key + (self._cur_pc,)
+            self._lkey = None  # a store: not idle
             self._txn = self.bus.write(*access)
             self._fsm = S_WRITE
+
+    # -- idle-loop detection ---------------------------------------------------
+
+    def _loop_head(self) -> None:
+        """A taken backward branch just put the core at a loop head.
+
+        A visit records the head state: the registers first (while they
+        change, as in a loop doing work, nothing else is compared), then
+        PC, SP, flags and the sampled call stack.  A visit that finds the
+        same state after a clean iteration (no store and no load that did
+        not complete at once: those clear ``_lkey``; a stall needs one of
+        them, or a wait packet, which makes the IP forget the loop)
+        starts capturing the next iteration, and the visit that ends the
+        capture arms the loop.  Any other visit starts over from this
+        head.
+        """
+        st = self._st
+        if st.regs != self._lregs:
+            # the common case in a loop doing work: nothing to compare
+            self._lregs = st.regs[:]
+            self._lkey = self._lcap = self._loop = None
+            return
+        key = (st.pc, st.sp, st.flags.as_tuple(), self._call_key)
+        mark = (self._active, self._retired)
+        last = self._lmark
+        self._lmark = mark
+        if key != self._lkey:
+            self._lkey = key
+            self._lcap = self._loop = None
+            return
+        period = mark[0] - last[0]
+        loop = self._loop
+        if loop is not None:
+            if len(loop.phases) == period:
+                self._lready = mark[0]
+                self._lphase = 0
+                return
+        elif self._lcap is None:
+            self._lcap = []
+            return
+        elif len(self._lcap) == period:
+            self._loop = IdleLoop(self._lcap, mark[1] - last[1])
+            self._lcap = None
+            self._lready = mark[0]
+            self._lphase = 0
+            return
+        # the iteration did not repeat the captured one: start over
+        self._lcap = None
+        self._loop = None
+
+    def _capture_phase(self) -> None:
+        """Record the micro-state this eval starts from (one phase of the
+        iteration being captured), the PC-sample bucket it charges and
+        the instructions retired since the head (see :class:`IdleLoop`)."""
+        st = self._st
+        fsm = self._fsm
+        flags = st.flags
+        self._lcap.append((
+            (
+                fsm, self._instr, self._txn, self._mem_settle,
+                tuple(st.regs), (flags.n, flags.z, flags.c, flags.v),
+                st.pc, st.sp, self._cur_pc,
+            ),
+            (self._call_key, st.pc if fsm == S_FETCH else self._cur_pc),
+            self._retired - self._lmark[1],
+        ))
 
     def _do_mem(self) -> None:
         if self._mem_settle > 0:
@@ -395,11 +624,11 @@ class R8Cpu(Component):
         txn = self._txn
         assert txn is not None
         if not txn.done:
-            self.cycles_stalled += 1
+            self._stalled += 1
             return
         instr = self._instr
         assert instr is not None
-        finish_load(self.state, instr, txn.value)
+        finish_load(self._st, instr, txn.value)
         if (
             self.pc_samples is not None
             and self._call_key
@@ -413,6 +642,6 @@ class R8Cpu(Component):
         txn = self._txn
         assert txn is not None
         if not txn.done:
-            self.cycles_stalled += 1
+            self._stalled += 1
             return
         self._retire()

@@ -20,7 +20,7 @@ from .checkpoint import (
     save_checkpoint,
 )
 from .component import Component, SnapshotError
-from .kernel import SimulationTimeout, Simulator, stride_points
+from .kernel import SimulationTimeout, Simulator
 from .vcd import VcdWriter
 from .wire import CheckedWire, HandshakeTx, Wire, make_channel
 
@@ -41,5 +41,4 @@ __all__ = [
     "make_channel",
     "restore_checkpoint",
     "save_checkpoint",
-    "stride_points",
 ]

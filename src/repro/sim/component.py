@@ -26,8 +26,9 @@ class Component:
     treats every component whose class overrides :meth:`eval` as a
     *schedulable unit*.  A unit may opt into idle-skipping by:
 
-    * overriding :meth:`is_quiescent` to report when its next ``eval``
-      would be a no-op given unchanged inputs,
+    * overriding :meth:`is_quiescent` to report when its next evals
+      would be no-ops given unchanged inputs, or internal steps that
+      :meth:`on_wake` reproduces exactly,
     * declaring the wires it reads with :meth:`watch_wires` so a
       committed change on any of them wakes it, and
     * calling :meth:`wake` from every externally callable method that
@@ -129,19 +130,23 @@ class Component:
         """True when the next ``eval`` is a no-op given unchanged inputs.
 
         The default (``False``) keeps legacy components evaluated every
-        cycle.  Overriders must guarantee that a quiescent component's
-        ``eval`` neither changes internal state nor drives new wire
-        values until an input wire changes, :meth:`wake`/:meth:`wake_at`
-        fires, or an external call mutates it.
+        cycle.  Overriders must guarantee that, until an input wire
+        changes, :meth:`wake`/:meth:`wake_at` fires, or an external call
+        mutates it, a quiescent component's ``eval`` drives no new wire
+        values and changes no internal state that :meth:`on_wake` does
+        not reproduce exactly (stall counters, a polling core's loop).
         """
         return False
 
     def on_wake(self, skipped_cycles: int) -> None:
-        """Called once before the first ``eval`` after a quiescent span.
+        """Called before the first ``eval`` after a quiescent span.
 
         *skipped_cycles* is the number of evals the kernel skipped.
         Override to credit per-cycle accounting (e.g. stall counters)
-        that lock-step evaluation would have accumulated.
+        that lock-step evaluation would have accumulated.  The kernel may
+        also call it while the unit sleeps on (:meth:`settle`), so one
+        span can be credited in parts: crediting *a* then *b* cycles
+        must equal crediting *a + b*.
         """
 
     def wake(self) -> None:
@@ -156,6 +161,17 @@ class Component:
             k = unit._kernel
             if k is not None:
                 k.wake_unit(unit)
+
+    def settle(self) -> None:
+        """Bring this component's sleeping unit up to the current cycle
+        without waking it (see :meth:`~repro.sim.kernel.Simulator.settle`).
+
+        Call before reading state that a sleeping unit lets lag: cheap
+        no-op while awake or before kernel elaboration.
+        """
+        unit = self._sched
+        if unit is not None and unit._slept_since is not None:
+            unit._kernel.settle(unit)
 
     def wake_at(self, cycle: int) -> None:
         """Schedule a wake-up for this component's unit at *cycle*.

@@ -26,9 +26,15 @@ runs in the same cycle, one before it runs next cycle, and a unit that
 slept earlier in the cycle and is woken again stays listed once.
 
 The results are cycle-exact with respect to the legacy schedule: a
-quiescent component's eval is by contract a no-op, and skipped idle
-evals are credited through ``on_wake`` so per-cycle counters (CPU stall
-accounting, PC samples) match bit for bit.  ``Simulator(
+quiescent component's eval is by contract either a no-op or one step of
+a replayable periodic loop (an R8 core polling a flag in local memory),
+and skipped evals are credited through ``on_wake``, which restores such
+a loop's exact state, so per-cycle counters (CPU stall accounting, PC
+samples) match bit for bit.  Code that reads a sleeping unit's state
+between steps first calls :meth:`Simulator.settle`, which applies the
+same credit up to the current cycle without waking the unit; a
+snapshot wakes every unit that way first, so it records lock-step
+state.  ``Simulator(
 strict_lockstep=True)`` keeps the original evaluate-everything loop for
 A/B comparison, and an attached :class:`~repro.telemetry.profiler.
 KernelProfiler` also forces lock-step so wall clock attribution stays
@@ -39,11 +45,13 @@ mode-preserving alternative: it observes this thread from the side and
 never alters which loop runs.
 
 Watcher semantics across a fast-forwarded span: plain watchers run once
-at the landing cycle (state is frozen during the span, so change-based
-tracers/VCD observe nothing, same as lock-step); strided observers that
-must fire *inside* the span (health watchdogs, time-series samplers)
-register a skip listener via :meth:`Simulator.add_skip_listener` and are
-called with ``(start, end)`` before the landing-cycle watchers.
+at the landing cycle (no wire changes during the span, so change-based
+tracers/VCD observe nothing, same as lock-step).  The kernel never
+fast-forwards past a stride point of a :meth:`Simulator.add_stride_watcher`
+observer (health watchdogs, samplers, live frames): it lands there, so
+every strided observation happens at a real cycle boundary and reads
+settled state.  Skip listeners (:meth:`Simulator.add_skip_listener`)
+are told about each span as ``(start, end)``.
 """
 
 from __future__ import annotations
@@ -51,7 +59,7 @@ from __future__ import annotations
 from bisect import insort
 from heapq import heapify, heappop, heappush
 from operator import attrgetter
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from .component import Component, SnapshotError
 
@@ -66,20 +74,6 @@ def _reject_cycles(name: str, value) -> None:
             f"{name} must be an int, not {type(value).__name__} {value!r}"
         )
     raise ValueError(f"{name} must not be negative, got {value}")
-
-
-def stride_points(start: int, end: int, stride: int) -> Iterator[int]:
-    """Multiples of *stride* strictly inside ``(start, end)``.
-
-    The canonical replay schedule for strided observers across a
-    fast-forwarded idle span: every stride boundary the lock-step loop
-    would have hit, excluding *end* (the landing cycle gets the regular
-    watcher pass).
-    """
-    c = start - start % stride + stride if start % stride else start + stride
-    while c < end:
-        yield c
-        c += stride
 
 
 class SimulationTimeout(Exception):
@@ -126,11 +120,12 @@ class Simulator:
         #: fast-forwards over an idle span (cycles start..end, where the
         #: landing cycle `end` additionally gets a normal watcher call).
         self._skip_listeners: List[Callable[[int, int], None]] = []
-        #: fn -> (watcher, skip listener) pairs installed by
-        #: add_stride_watcher, so one call detaches both halves.
+        #: fn -> (watcher, stride) installed by add_stride_watcher
         self._stride_watchers: Dict[
-            Callable[[int], None], Tuple[Callable, Callable]
+            Callable[[int], None], Tuple[Callable, int]
         ] = {}
+        #: the strides of those watchers: fast-forward lands on each
+        self._strides: List[int] = []
         #: optional KernelProfiler (see repro.telemetry.profiler); when
         #: set, step() takes the instrumented lock-step path — the plain
         #: loop is untouched so disabled profiling costs one None-check.
@@ -192,8 +187,8 @@ class Simulator:
         double registration would run the hook twice per cycle.
 
         Across a fast-forwarded idle span watchers fire once, at the
-        landing cycle; observers needing the skipped stride points should
-        also register a skip listener (:meth:`add_skip_listener`).
+        landing cycle; observers that must see particular cycles use
+        :meth:`add_stride_watcher`.
         """
         if fn not in self._watcher_set:
             self._watcher_set.add(fn)
@@ -231,12 +226,11 @@ class Simulator:
         """Call *fn(cycle)* at every multiple of *stride* cycles.
 
         Unlike a plain watcher, the stride cadence survives idle
-        fast-forward: the kernel replays every stride boundary inside a
-        skipped span (state is frozen there, so the replayed call
-        observes exactly what lock-step evaluation would have shown).
-        Strided observers — samplers, live telemetry frames — should use
-        this instead of hand-wiring a watcher plus a skip listener.
-        Re-adding an already-registered function is a no-op.
+        fast-forward: the kernel lands on every stride boundary instead
+        of skipping it, so the call observes exactly what lock-step
+        evaluation would have shown.  Strided observers — samplers, live
+        telemetry frames, per-cycle break conditions (stride 1) — use
+        this.  Re-adding an already-registered function is a no-op.
         """
         if stride < 1:
             raise ValueError("stride must be at least 1 cycle")
@@ -247,20 +241,16 @@ class Simulator:
             if cycle % stride == 0:
                 fn(cycle)
 
-        def on_skip(start: int, end: int) -> None:
-            for c in stride_points(start, end, stride):
-                fn(c)
-
-        self._stride_watchers[fn] = (on_cycle, on_skip)
+        self._stride_watchers[fn] = (on_cycle, stride)
+        self._strides.append(stride)
         self.add_watcher(on_cycle)
-        self.add_skip_listener(on_skip)
 
     def remove_stride_watcher(self, fn: Callable[[int], None]) -> None:
-        """Detach both halves of an :meth:`add_stride_watcher` hook."""
+        """Detach an :meth:`add_stride_watcher` hook."""
         pair = self._stride_watchers.pop(fn, None)
         if pair is not None:
             self.remove_watcher(pair[0])
-            self.remove_skip_listener(pair[1])
+            self._strides.remove(pair[1])
 
     def invalidate_elaboration(self) -> None:
         """Re-elaborate before the next step (wiring/topology changed)."""
@@ -370,14 +360,30 @@ class Simulator:
                 self._unsettled.append(u)
         self._wakeq.clear()
 
+    def settle(self, unit: Component) -> None:
+        """Credit *unit*'s skipped evals up to the current cycle, leaving
+        it asleep.
+
+        Between steps a sleeping unit's state lags lock-step by the evals
+        the kernel skipped; ``on_wake`` applies them (counters, or the
+        replayed state of an idle loop) exactly as the next real wake
+        would, and the unit's sleep then counts from this cycle.
+        Anything that reads unit state between steps calls this first.
+        """
+        s = unit._slept_since
+        if s is not None and self.cycle > s:
+            unit._slept_since = self.cycle
+            unit.on_wake(self.cycle - s)
+
     def schedule_wake(self, unit: Component, cycle: int) -> None:
         """Wake *unit* at *cycle* (processed before that cycle's evals)."""
         self._wake_seq += 1
         heappush(self._wake_heap, (cycle, self._wake_seq, unit))
 
     def _flush_sleep_credits(self) -> None:
-        """Wake everything, crediting skipped idle evals (used when
-        switching to the lock-step profiled path mid-run)."""
+        """Wake everything, crediting skipped idle evals (used by
+        :meth:`snapshot`, and when switching to the lock-step profiled
+        path mid-run)."""
         for u in self._units:
             if not u._awake:
                 u._awake = True
@@ -440,10 +446,15 @@ class Simulator:
         :meth:`step` calls — when no drive is pending commit.  The
         returned dict is JSON-serialisable and kernel-mode portable:
         a snapshot taken under either scheduling mode restores into
-        either mode with bit-identical continuation.
+        either mode with bit-identical continuation.  Sleeping units are
+        woken with their skipped evals credited first, so the component
+        state is the lock-step state (a unit's sleep may rest on state a
+        snapshot does not carry, such as a captured idle loop).
         """
-        if not self.strict_lockstep and self._needs_elab:
-            self._elaborate()
+        if not self.strict_lockstep:
+            if self._needs_elab:
+                self._elaborate()
+            self._flush_sleep_credits()
         doc: dict = {
             "cycle": self.cycle,
             "components": [c.snapshot() for c in self._components],
@@ -586,10 +597,7 @@ class Simulator:
                         self._n_awake += 1
                         insort(active, unit, key=_POS)
                 if self._n_awake == 0 and units:
-                    land = heap[0][0] if heap else target
-                    if land > target:
-                        land = target
-                    self._fast_forward(cyc, land)
+                    self._fast_forward(cyc, self._landing(cyc, target))
                     continue
                 # hostperf: eval
                 if wakeq:
@@ -662,6 +670,17 @@ class Simulator:
             for fn in watchers:
                 fn(self.cycle)
         return self.cycle
+
+    def _landing(self, cyc: int, limit: int) -> int:
+        """Where a fast-forward from *cyc* stops: the first scheduled
+        wake, the next stride point of a stride watcher, or *limit*."""
+        heap = self._wake_heap
+        land = heap[0][0] if heap and heap[0][0] < limit else limit
+        for stride in self._strides:
+            point = cyc - cyc % stride + stride
+            if point < land:
+                land = point
+        return land
 
     def _fast_forward(self, from_cycle: int, to_cycle: int) -> None:
         """Jump over an idle span: every unit is asleep and no wake is
@@ -748,9 +767,7 @@ class Simulator:
                     and self._units
                     and not (heap and heap[0][0] <= self.cycle)
                 ):
-                    land = heap[0][0] if heap else budget
-                    if land > budget:
-                        land = budget
+                    land = self._landing(self.cycle, budget)
                     if land > self.cycle:
                         self._fast_forward(self.cycle, land)
                         continue

@@ -87,6 +87,9 @@ class ProcessorIp(Component):
         self._srv_reply_to: Optional[int] = None
         self._srv_backlog: List = []
         self._proc_mem_used = False
+        # True while the unit sleeps in (or was last put to sleep in) the
+        # core's idle loop rather than on a stalled or halted core
+        self._idle_loop = False
         self.dropped_packets: List[Packet] = []
         self.activations = 0
         #: symbol table of the last program loaded into this processor
@@ -237,6 +240,10 @@ class ProcessorIp(Component):
     # ======================= simulation ========================================
 
     def eval(self, cycle: int) -> None:
+        if self._idle_loop:
+            # first eval after an idle-loop sleep: detect the loop afresh
+            self._idle_loop = False
+            self.cpu.forget_loop()
         if self.sink is not None:
             self._now = cycle
         # cpu first (bus calls), then ni; inlined from the generic
@@ -251,13 +258,17 @@ class ProcessorIp(Component):
 
     def is_quiescent(self) -> bool:
         """The whole IP sleeps only when the core cannot advance on its
-        own (halted, paused, or stalled on an external transaction), the
-        NI is idle with nothing undelivered, the local-memory server has
-        no work, and no posted operation is waiting to complete.  Every
-        possible resume path is covered by a wake: incoming flits wake
-        the NI's watched wires, and local completions keep the unit awake
-        until they land."""
-        if not self.cpu.sleepable:
+        own (halted, paused, or stalled on an external transaction) or
+        is at the head of a captured idle loop, the NI is idle with
+        nothing undelivered, the local-memory server has no work, and no
+        posted operation is waiting to complete.  Every possible resume
+        path is covered by a wake: incoming flits wake the NI's watched
+        wires, a direct :meth:`load` wakes the IP, and local
+        completions keep the unit awake until they land.  A debugger
+        read watchpoint on the banks keeps a polling core awake, so it
+        sees every poll."""
+        cpu = self.cpu
+        if not cpu.sleepable:
             return False
         if self._srv_state != _SRV_IDLE or self._srv_backlog:
             return False
@@ -270,11 +281,21 @@ class ProcessorIp(Component):
                 # fire-and-forget: completes locally on a later eval
                 return False
         ni = self.ni
-        return not ni.received and ni.is_quiescent()
+        if ni.received or not ni.is_quiescent():
+            return False
+        looping = cpu.loop_ready
+        if looping and self.banks.watch is not None:
+            return False
+        self._idle_loop = looping
+        return True
 
     def on_wake(self, skipped_cycles: int) -> None:
-        """Credit the skipped idle evals to the core's stall counters."""
-        self.cpu.credit_idle_cycles(skipped_cycles)
+        """Credit the skipped evals: replay the core's idle loop, or add
+        them to a stalled core's stall counters."""
+        if self._idle_loop:
+            self.cpu.replay_loop(skipped_cycles)
+        else:
+            self.cpu.credit_idle_cycles(skipped_cycles)
 
     def reset(self) -> None:
         super().reset()
@@ -287,6 +308,7 @@ class ProcessorIp(Component):
         self._srv_remaining = 0
         self._srv_backlog = []
         self._proc_mem_used = False
+        self._idle_loop = False
         self.dropped_packets = []
         self.activations = 0
         self._wait_start = None
@@ -315,6 +337,7 @@ class ProcessorIp(Component):
     def _handle_incoming(self, cycle: int) -> None:
         while self.ni.has_received():
             packet = self.ni.pop_received()
+            self.cpu.forget_loop()  # a packet may change what a loop sees
             try:
                 message = services.decode(packet)
             except services.ServiceError:
@@ -433,6 +456,7 @@ class ProcessorIp(Component):
         if self._proc_mem_used:
             return  # processor has priority over the banks
         if self._srv_state == _SRV_WRITING:
+            self.cpu.forget_loop()
             if self._srv_words:
                 self.banks.write_word(
                     self._srv_addr % self.banks.depth, self._srv_words.pop(0)
@@ -524,6 +548,7 @@ class ProcessorIp(Component):
             services.message_from_state(m) for m in state["srv_backlog"]
         ]
         self._proc_mem_used = state["proc_mem_used"]
+        self._idle_loop = False
         self.dropped_packets = [
             Packet.from_state(p) for p in state["dropped"]
         ]
@@ -562,7 +587,12 @@ class ProcessorIp(Component):
     # -- debugging helpers -------------------------------------------------------------
 
     def load(self, words, base: int = 0) -> None:
-        """Directly load words into local memory (testbench shortcut)."""
+        """Directly load words into local memory (testbench shortcut).
+
+        Like any write from outside the core, this ends an idle loop the
+        core may be polling in, and wakes the IP if it sleeps there.
+        """
+        self.cpu.forget_loop()
         self.banks.load(words, base)
 
     def dump(self, start: int = 0, count: Optional[int] = None) -> List[int]:

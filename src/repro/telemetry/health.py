@@ -3,8 +3,10 @@
 The passive telemetry layer (events, metrics, exporters) records what the
 platform did; this module watches it *while it runs* and localises
 pathologies instead of letting them surface as a bare timeout.  A single
-:class:`HealthMonitor` rides the simulator's watcher hook
-(:meth:`~repro.sim.kernel.Simulator.add_watcher`) and has three pillars:
+:class:`HealthMonitor` rides the simulator's stride-watcher hook
+(:meth:`~repro.sim.kernel.Simulator.add_stride_watcher`, so the kernel
+lands on every sample and check point instead of fast-forwarding past
+it) and has three pillars:
 
 **Watchdogs** — always on while attached, evaluated every
 ``check_interval`` cycles:
@@ -45,6 +47,7 @@ attached.
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 from collections import deque
@@ -61,7 +64,6 @@ from typing import (
 
 from ..noc.routing import OPPOSITE, PORT_DELTA, Port, xy_route
 from ..noc.topology import port_label
-from ..sim.kernel import stride_points
 
 Address = Tuple[int, int]
 
@@ -432,18 +434,19 @@ class HealthMonitor:
             )
             self._install_default_probes()
 
-        sim.add_watcher(self.on_cycle)
-        if hasattr(sim, "add_skip_listener"):
-            sim.add_skip_listener(self.on_fast_forward)
+        # the kernel lands on every sample and check point (multiples of
+        # the gcd), fast-forwarding or not
+        stride = self.check_interval
+        if self.sampler is not None:
+            stride = math.gcd(self.sample_interval, stride)
+        sim.add_stride_watcher(self.on_cycle, stride)
         sim.health = self
         return self
 
     def detach(self) -> None:
         """Unhook from the simulator; the run continues unmonitored."""
         if self.sim is not None:
-            self.sim.remove_watcher(self.on_cycle)
-            if hasattr(self.sim, "remove_skip_listener"):
-                self.sim.remove_skip_listener(self.on_fast_forward)
+            self.sim.remove_stride_watcher(self.on_cycle)
             if self.sim.health is self:
                 self.sim.health = None
 
@@ -475,28 +478,12 @@ class HealthMonitor:
     # -- the per-cycle hook -------------------------------------------------
 
     def on_cycle(self, cycle: int) -> None:
-        """Simulator watcher: sample on its stride, check on its own."""
+        """Stride watcher: sample on its stride, check on its own."""
         if self.sampler is not None and cycle % self.sample_interval == 0:
             self.sampler.sample(cycle)
         if cycle % self.check_interval:
             return
         self._run_checks(cycle)
-
-    def on_fast_forward(self, start: int, end: int) -> None:
-        """Simulator skip listener: keep strided samples and watchdog
-        checks firing *inside* a fast-forwarded idle span.
-
-        The kernel only fast-forwards while every component sleeps, so
-        all probed state is frozen at its ``start`` value — replaying the
-        stride points with that state is exactly what lock-step would
-        have observed.  The landing cycle ``end`` is excluded here; it
-        gets the regular :meth:`on_cycle` watcher call.
-        """
-        if self.sampler is not None:
-            for c in stride_points(start, end, self.sample_interval):
-                self.sampler.sample(c)
-        for c in stride_points(start, end, self.check_interval):
-            self._run_checks(c)
 
     def _run_checks(self, cycle: int) -> None:
         self.checks_run += 1

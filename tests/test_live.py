@@ -18,7 +18,6 @@ import urllib.request
 import pytest
 
 from repro.core import MultiNoCPlatform
-from repro.sim import stride_points
 from repro.telemetry import (
     FLEET_SCHEMA,
     LIVE_SCHEMA,
@@ -58,15 +57,29 @@ def launch_observed(stride=256, strict=False, **live_kwargs):
     return session, live, frames
 
 
-class TestStridePoints:
-    def test_interior_multiples_only(self):
-        assert list(stride_points(0, 1000, 256)) == [256, 512, 768]
-        assert list(stride_points(256, 768, 256)) == [512]
-        assert list(stride_points(100, 130, 50)) == []
-
-    def test_start_on_multiple_is_excluded(self):
-        # the landing cycle `end` gets a normal watcher call instead
-        assert list(stride_points(512, 1024, 256)) == [768]
+class TestStrideLanding:
+    def test_fast_forward_lands_on_every_stride_point(self):
+        """An idle platform fast-forwards, but never past a stride point:
+        the kernel lands there and the stride watcher sees a real cycle
+        boundary; detaching it restores the long jumps."""
+        session = MultiNoCPlatform.standard().launch()
+        sim = session.sim
+        sim.step(0)
+        start = sim.cycle
+        strided, plain, spans = [], [], []
+        sim.add_stride_watcher(strided.append, 100)
+        sim.add_watcher(plain.append)
+        sim.add_skip_listener(lambda a, b: spans.append((a, b)))
+        sim.step(1000)
+        points = [c for c in range(start + 1, start + 1001) if c % 100 == 0]
+        assert strided == points
+        assert set(points) <= set(plain)
+        assert all(b - a <= 100 for a, b in spans)
+        sim.remove_stride_watcher(strided.append)
+        spans.clear()
+        sim.step(1000)
+        assert len(strided) == len(points)
+        assert max(b - a for a, b in spans) > 100
 
 
 class TestLiveStream:
