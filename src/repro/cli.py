@@ -188,151 +188,144 @@ def cmd_system(args) -> int:
     session = platform.launch(
         telemetry=telemetry, strict_lockstep=args.no_idle_skip
     )
-    profiler = None
-    if args.profile:
-        from .telemetry import KernelProfiler
-
-        profiler = KernelProfiler().attach(session.sim)
-    hostperf = None
-    if args.hostperf:
-        hostperf = session.profile_host()
-    vcd = None
-    if args.vcd:
-        from .sim import VcdWriter
-
-        vcd = VcdWriter([session.system.rxd, session.system.txd])
-        session.sim.add_watcher(vcd.sample)
-    health = None
-    if args.monitor or args.sample_interval or args.health_report:
-        health = session.monitor_health(
-            sample_interval=args.sample_interval,
-            invariants=True,
-        )
-    live = server = engine = None
-    if args.top or args.serve is not None or args.alerts:
-        live = session.live_stream(stride=args.live_stride)
-    if args.alerts:
-        from .telemetry.alerts import RuleError, load_rules
-
-        try:
-            rules = load_rules(args.alerts)
-        except (OSError, RuleError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        engine = session.alert_engine(
-            rules,
-            log=args.alert_log,
-            notify=sys.stderr,
-            sink=telemetry,
-            registry=session.system.stats.registry,
-        )
-        if telemetry is not None:
-            # mirror frames into the event log so `multinoc alerts
-            # check RULES --trace` replays the exact frames this run
-            # was alerted on
-            live.mirror_to(telemetry)
-    if args.serve is not None:
-        server = session.serve_telemetry(port=args.serve)
-        print(
-            f"telemetry server -> {server.address}"
-            "  (/metrics /frame /frames"
-            + (" /alerts" if engine is not None else "")
-            + ")"
-        )
-    if args.top:
-        from .telemetry import MeshTop
-
-        top = MeshTop(color=False if args.no_color else None).attach(live)
-        if engine is not None:
-            top.attach_alerts(engine)
-    flight = None
-    if args.crash_dir:
-        # after live wiring so the recorder can mirror frames
-        flight = session.flight_recorder(args.crash_dir)
-    session.host.sync()
-    obj = _load_program(args.file)
-    addr = session.processor_address(args.proc)
-    if args.scanf:
-        values = [int(v, 0) for v in args.scanf.split(",")]
-        it = iter(values)
-        session.host.set_scanf_handler(args.proc, lambda: next(it))
+    hostperf = session.profile_host() if args.profile else None
+    server = engine = None
     try:
-        session.host.load_program(addr, obj)
-        session.host.activate(addr)
-        session.sim.run_until(
-            lambda: session.system.processors[args.proc].cpu.halted,
-            max_cycles=args.max_cycles,
+        vcd = None
+        if args.vcd:
+            from .sim import VcdWriter
+
+            vcd = VcdWriter([session.system.rxd, session.system.txd])
+            session.sim.add_watcher(vcd.sample)
+        health = None
+        if args.monitor or args.sample_interval or args.health_report:
+            health = session.monitor_health(
+                sample_interval=args.sample_interval,
+                invariants=True,
+            )
+        live = None
+        if args.top or args.serve is not None or args.alerts:
+            live = session.live_stream(stride=args.live_stride)
+        if args.alerts:
+            from .telemetry.alerts import RuleError, load_rules
+
+            try:
+                rules = load_rules(args.alerts)
+            except (OSError, RuleError) as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
+            engine = session.alert_engine(
+                rules,
+                log=args.alert_log,
+                notify=sys.stderr,
+                sink=telemetry,
+                registry=session.system.stats.registry,
+            )
+            if telemetry is not None:
+                # mirror frames into the event log so `multinoc alerts
+                # check RULES --trace` replays the exact frames this run
+                # was alerted on
+                live.mirror_to(telemetry)
+        if args.serve is not None:
+            server = session.serve_telemetry(port=args.serve)
+            print(
+                f"telemetry server -> {server.address}"
+                "  (/metrics /frame /frames"
+                + (" /alerts" if engine is not None else "")
+                + ")"
+            )
+        if args.top:
+            from .telemetry import MeshTop
+
+            top = MeshTop(color=False if args.no_color else None).attach(live)
+            if engine is not None:
+                top.attach_alerts(engine)
+        flight = None
+        if args.crash_dir:
+            # after live wiring so the recorder can mirror frames
+            flight = session.flight_recorder(args.crash_dir)
+        if args.scanf:
+            values = [int(v, 0) for v in args.scanf.split(",")]
+            it = iter(values)
+            session.host.set_scanf_handler(args.proc, lambda: next(it))
+        record = dict(
+            kind="system",
+            artifacts={
+                "trace": args.trace,
+                "trace_jsonl": args.trace_jsonl,
+                "vcd": args.vcd,
+                "health_report": args.health_report,
+            },
+            meta={"program": str(args.file), "proc": args.proc},
         )
-    except Exception as exc:
+        try:
+            _run_program(session, args)
+        except Exception as exc:
+            if hostperf is not None:
+                hostperf.stop()
+            if flight is not None:
+                bundle = flight.record(
+                    exc,
+                    sim=session.sim,
+                    hostperf=hostperf,
+                    health=health,
+                    meta=record["meta"],
+                )
+                print(f"crash bundle -> {bundle}", file=sys.stderr)
+            if health is not None:
+                _report_health_failure(exc, health, args.health_report)
+            elif hostperf is None and flight is None:
+                raise
+            else:
+                print(f"error: {exc}", file=sys.stderr)
+            # exactly the runs that most need their instrumentation:
+            # flush what was collected before the failure, then report it
+            if telemetry is not None:
+                session.system.flush_telemetry()
+            _flush_system_exports(session, args, telemetry, vcd)
+            if hostperf is not None:
+                print(hostperf.report())
+            _record_run(session, args, status="failed", exit_code=1, **record)
+            return 1
+        if live is not None:
+            # one final off-stride frame so dashboards and post-run
+            # scrapes see the end-of-run state
+            live.force()
+        monitor = session.host.monitor(args.proc)
+        print(monitor.transcript() or "(no I/O)")
+        print(
+            f"halted at cycle {session.sim.cycle} "
+            f"({session.sim.elapsed_seconds() * 1e3:.2f} ms at 25 MHz)"
+        )
+        if args.stats:
+            _print_system_stats(session)
+        if args.metrics:
+            print(session.system.stats.registry.prometheus_text(), end="")
+        if telemetry is not None:
+            # flush deferred telemetry (CPU PC samples) before any export
+            session.system.flush_telemetry()
+        if _flush_system_exports(session, args, telemetry, vcd) != 0:
+            return 1
         if hostperf is not None:
             hostperf.stop()
-        if flight is not None:
-            bundle = flight.record(
-                exc,
-                sim=session.sim,
-                hostperf=hostperf,
-                health=health,
-                meta={"program": str(args.file), "proc": args.proc},
-            )
-            print(f"crash bundle -> {bundle}", file=sys.stderr)
-        if health is not None:
-            _report_health_failure(exc, health, args.health_report)
-        elif profiler is None and hostperf is None and flight is None:
-            raise
-        else:
-            print(f"error: {exc}", file=sys.stderr)
-        # exactly the runs that most need their instrumentation: flush
-        # what was collected before the failure, then report it
-        if telemetry is not None:
-            session.system.flush_telemetry()
-        _flush_system_exports(session, args, telemetry, vcd)
-        if profiler is not None:
-            print(profiler.report())
-        if hostperf is not None:
             print(hostperf.report())
-        _record_system_run(session, args, status="failed", exit_code=1)
-        return 1
-    session.sim.step(6000)
-    if live is not None:
-        # one final off-stride frame so dashboards and post-run scrapes
-        # see the end-of-run state
-        live.force()
-    monitor = session.host.monitor(args.proc)
-    print(monitor.transcript() or "(no I/O)")
-    print(
-        f"halted at cycle {session.sim.cycle} "
-        f"({session.sim.elapsed_seconds() * 1e3:.2f} ms at 25 MHz)"
-    )
-    if args.stats:
-        _print_system_stats(session)
-    if args.metrics:
-        print(session.system.stats.registry.prometheus_text(), end="")
-    if telemetry is not None:
-        # flush deferred telemetry (CPU PC samples) before any export
-        session.system.flush_telemetry()
-    if _flush_system_exports(session, args, telemetry, vcd) != 0:
-        return 1
-    if profiler is not None:
-        print(profiler.report())
-    if hostperf is not None:
-        hostperf.stop()
-        print(hostperf.report())
-    if health is not None:
-        if health.sampler is not None:
-            print("health timeline:")
-            print(health.sampler.timeline())
-        n = len(health.violations)
-        print(f"health: {'OK, no violations' if n == 0 else f'{n} violation(s)'}")
-        if args.health_report:
-            _write_health_report(health, args.health_report)
-    if engine is not None:
-        print(engine.report())
-        if args.alert_log:
-            print(f"alert log -> {args.alert_log}")
-        engine.close()
-    _record_system_run(session, args, status="ok", exit_code=0)
-    if server is not None:
-        if args.linger:
+        if health is not None:
+            if health.sampler is not None:
+                print("health timeline:")
+                print(health.sampler.timeline())
+            n = len(health.violations)
+            print(
+                "health: "
+                + ("OK, no violations" if n == 0 else f"{n} violation(s)")
+            )
+            if args.health_report:
+                _write_health_report(health, args.health_report)
+        if engine is not None:
+            print(engine.report())
+            if args.alert_log:
+                print(f"alert log -> {args.alert_log}")
+        _record_run(session, args, status="ok", exit_code=0, **record)
+        if server is not None and args.linger:
             import time
 
             print(f"lingering {args.linger:g}s for scrapes (Ctrl-C to stop)")
@@ -340,8 +333,30 @@ def cmd_system(args) -> int:
                 time.sleep(args.linger)
             except KeyboardInterrupt:
                 pass
-        server.close()
-    return 0
+        return 0
+    finally:
+        if hostperf is not None:
+            hostperf.stop()
+        if server is not None:
+            server.close()
+        if engine is not None:
+            engine.close()
+
+
+def _run_program(session, args) -> None:
+    """Load ``args.file`` into processor ``args.proc``, run it until the
+    core halts (within ``args.max_cycles``), then 6000 cycles more so
+    the host receives the core's last output."""
+    session.host.sync()
+    obj = _load_program(args.file)
+    addr = session.processor_address(args.proc)
+    session.host.load_program(addr, obj)
+    session.host.activate(addr)
+    session.sim.run_until(
+        lambda: session.system.processors[args.proc].cpu.halted,
+        max_cycles=args.max_cycles,
+    )
+    session.sim.step(6000)
 
 
 def _flush_system_exports(session, args, telemetry, vcd) -> int:
@@ -371,35 +386,31 @@ def _flush_system_exports(session, args, telemetry, vcd) -> int:
     return 0
 
 
-def _record_system_run(session, args, *, status: str, exit_code: int) -> None:
+def _record_run(
+    session, args, *, kind: str, status: str, exit_code: int,
+    artifacts: dict, meta: dict,
+) -> None:
     """Append the run to the cross-run registry (``multinoc runs ...``).
 
     On by default — the registry is the durable history every later
     ``runs trend`` gate reads — and disabled with ``--no-record``.
-    Registry failures must never fail the run they describe.
+    *artifacts* maps names to the files the run wrote (unset ones are
+    dropped).  Registry failures must never fail the run they describe.
     """
-    if getattr(args, "no_record", False):
+    if args.no_record:
         return
     from .telemetry.registry import AUTO
 
-    artifacts = {
-        name: str(value)
-        for name, value in (
-            ("trace", getattr(args, "trace", None)),
-            ("trace_jsonl", getattr(args, "trace_jsonl", None)),
-            ("vcd", getattr(args, "vcd", None)),
-            ("health_report", getattr(args, "health_report", None)),
-        )
-        if value
-    }
     try:
         record = session.record_run(
-            registry=getattr(args, "runs_dir", None),
-            kind="system",
+            registry=args.runs_dir,
+            kind=kind,
             status=status,
             exit_code=exit_code,
-            artifacts=artifacts,
-            meta={"program": str(args.file), "proc": args.proc},
+            artifacts={
+                name: str(value) for name, value in artifacts.items() if value
+            },
+            meta=meta,
             git_rev=AUTO,
         )
         # stderr: run ids are unique, stdout must stay comparable
@@ -464,11 +475,12 @@ def cmd_profile(args) -> int:
     Runs a program (or the built-in edge-detection workload) under the
     sampling :class:`~repro.telemetry.hostperf.HostPerfProfiler` —
     never changing the kernel's execution mode — and reports where host
-    wall-clock goes: per subsystem, per kernel region, and as the
-    headline host-seconds per simulated kilocycle.  Optional outputs:
-    a ``multinoc-hostperf/1`` JSON snapshot (``--json``), a
-    folded-stack flamegraph (``--flamegraph``, same format as
-    ``analyze --flamegraph``), and a crash bundle on failure
+    wall-clock goes: per subsystem, per component instance, per kernel
+    region, and as the headline host-seconds per simulated kilocycle.
+    ``system --profile`` prints the same report for a normal run.
+    Optional outputs: a ``multinoc-hostperf/1`` JSON snapshot
+    (``--json``), a folded-stack flamegraph (``--flamegraph``, same
+    format as ``analyze --flamegraph``), and a crash bundle on failure
     (``--crash-dir``).
     """
     import json
@@ -490,6 +502,7 @@ def cmd_profile(args) -> int:
     if args.crash_dir:
         flight = session.flight_recorder(args.crash_dir)
 
+    meta = {"workload": args.workload or str(args.file)}
     status = 0
     try:
         if args.workload == "edge-detection":
@@ -509,24 +522,12 @@ def cmd_profile(args) -> int:
                 print("error: edge-detection output mismatch", file=sys.stderr)
                 status = 1
         else:
-            session.host.sync()
-            obj = _load_program(args.file)
-            addr = session.processor_address(args.proc)
-            session.host.load_program(addr, obj)
-            session.host.activate(addr)
-            session.sim.run_until(
-                lambda: session.system.processors[args.proc].cpu.halted,
-                max_cycles=args.max_cycles,
-            )
-            session.sim.step(6000)
+            _run_program(session, args)
     except Exception as exc:
         hostperf.stop()
         if flight is not None:
             bundle = flight.record(
-                exc,
-                sim=session.sim,
-                hostperf=hostperf,
-                meta={"workload": args.workload or str(args.file)},
+                exc, sim=session.sim, hostperf=hostperf, meta=meta
             )
             print(f"crash bundle -> {bundle}", file=sys.stderr)
         print(f"error: {exc}", file=sys.stderr)
@@ -550,30 +551,12 @@ def cmd_profile(args) -> int:
         print(f"error: cannot write output file: {exc}", file=sys.stderr)
         status = status or 1
 
-    if not args.no_record:
-        from .telemetry.registry import AUTO
-
-        artifacts = {
-            name: str(value)
-            for name, value in (
-                ("hostperf", args.json),
-                ("flamegraph", args.flamegraph),
-            )
-            if value
-        }
-        try:
-            record = session.record_run(
-                registry=args.runs_dir,
-                kind="profile",
-                status="ok" if status == 0 else "failed",
-                exit_code=status,
-                artifacts=artifacts,
-                meta={"workload": args.workload or str(args.file)},
-                git_rev=AUTO,
-            )
-            print(f"run record {record['run_id']} -> registry", file=sys.stderr)
-        except OSError as exc:
-            print(f"warning: could not record run: {exc}", file=sys.stderr)
+    _record_run(
+        session, args, kind="profile",
+        status="ok" if status == 0 else "failed", exit_code=status,
+        artifacts={"hostperf": args.json, "flamegraph": args.flamegraph},
+        meta=meta,
+    )
     return status
 
 
@@ -992,14 +975,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--profile",
         action="store_true",
-        help="profile kernel wall-clock time per component "
-        "(exact but forces lock-step; see --hostperf for sampling)",
-    )
-    p.add_argument(
-        "--hostperf",
-        action="store_true",
-        help="attach the sampling host profiler (host-seconds per "
-        "kilocycle per subsystem; never changes the execution mode)",
+        help="attach the sampling host profiler and print where host "
+        "time went: per subsystem and per component instance, in "
+        "host-seconds per kilocycle (never changes the execution mode)",
     )
     p.add_argument(
         "--crash-dir",
@@ -1122,7 +1100,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=12,
         metavar="N",
-        help="subsystem rows in the report table",
+        help="rows in each report table (subsystems, units)",
     )
     p.add_argument(
         "--json",

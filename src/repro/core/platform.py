@@ -226,7 +226,7 @@ class PlatformSession:
         return monitor
 
     def profile_host(self, *, start: bool = True, **kwargs):
-        """Attach a sampling host profiler (the mode-preserving one).
+        """Attach the sampling host profiler.
 
         Keyword arguments are forwarded to
         :class:`~repro.telemetry.hostperf.HostPerfProfiler`

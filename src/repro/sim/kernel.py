@@ -36,13 +36,11 @@ same credit up to the current cycle without waking the unit; a
 snapshot wakes every unit that way first, so it records lock-step
 state.  ``Simulator(
 strict_lockstep=True)`` keeps the original evaluate-everything loop for
-A/B comparison, and an attached :class:`~repro.telemetry.profiler.
-KernelProfiler` also forces lock-step so wall clock attribution stays
-per-component (it announces the fidelity change on attach and restores
-the fast path on ``detach()``).  The sampling
-:class:`~repro.telemetry.hostperf.HostPerfProfiler` is the
-mode-preserving alternative: it observes this thread from the side and
-never alters which loop runs.
+A/B comparison; :meth:`Simulator.step` and
+:meth:`Simulator._step_lockstep` are the only two loops.  Host time is
+attributed by the sampling
+:class:`~repro.telemetry.hostperf.HostPerfProfiler`, which observes this
+thread from the side and never alters which loop runs.
 
 Watcher semantics across a fast-forwarded span: plain watchers run once
 at the landing cycle (no wire changes during the span, so change-based
@@ -126,10 +124,6 @@ class Simulator:
         ] = {}
         #: the strides of those watchers: fast-forward lands on each
         self._strides: List[int] = []
-        #: optional KernelProfiler (see repro.telemetry.profiler); when
-        #: set, step() takes the instrumented lock-step path — the plain
-        #: loop is untouched so disabled profiling costs one None-check.
-        self.profiler = None
         #: optional HostPerfProfiler (see repro.telemetry.hostperf); set
         #: by HostPerfProfiler.attach().  Purely observational — a side
         #: thread samples this thread's stack, so the kernel never
@@ -382,8 +376,7 @@ class Simulator:
 
     def _flush_sleep_credits(self) -> None:
         """Wake everything, crediting skipped idle evals (used by
-        :meth:`snapshot`, and when switching to the lock-step profiled
-        path mid-run)."""
+        :meth:`snapshot`, so a checkpoint records lock-step state)."""
         for u in self._units:
             if not u._awake:
                 u._awake = True
@@ -571,8 +564,6 @@ class Simulator:
         """
         if type(cycles) is not int or cycles < 0:
             _reject_cycles("cycles", cycles)
-        if self.profiler is not None:
-            return self._step_profiled(cycles)
         if self.strict_lockstep:
             return self._step_lockstep(cycles)
         if self._needs_elab:
@@ -692,37 +683,6 @@ class Simulator:
         for fn in self._watchers:
             fn(to_cycle)
 
-    def _step_profiled(self, cycles: int) -> int:
-        """Instrumented twin of :meth:`step`: every component eval,
-        commit and watcher call is timed by the attached profiler.
-
-        Profiling runs lock-step (no idle skipping) so wall-clock cost is
-        attributed per component per cycle; sleep credits are flushed
-        first to keep counters cycle-exact when switching paths mid-run.
-        """
-        prof = self.profiler
-        if not self.strict_lockstep:
-            if self._needs_elab:
-                self._elaborate()
-            self._flush_sleep_credits()
-        driven = self._driven
-        for _ in range(cycles):
-            cyc = self.cycle
-            for c in self._components:
-                prof.timed_eval(c, cyc)
-            for c in self._components:
-                prof.timed_commit(c)
-            if driven:
-                # recursive commit already latched these; just clear flags
-                for w in driven:
-                    w._queued = False
-                driven.clear()
-            self.cycle = cyc + 1
-            for fn in self._watchers:
-                prof.timed_watcher(fn, self.cycle)
-            prof.cycles += 1
-        return self.cycle
-
     def run_until(
         self,
         predicate: Callable[[], bool],
@@ -745,7 +705,7 @@ class Simulator:
             _reject_cycles("max_cycles", max_cycles)
         start = self.cycle
         budget = start + max_cycles
-        fast = self.profiler is None and not self.strict_lockstep
+        fast = not self.strict_lockstep
         while not predicate():
             if self.cycle >= budget:
                 what = label or getattr(predicate, "__name__", "condition")

@@ -6,8 +6,9 @@ stalls, traps), host serial transactions — while the
 :class:`MetricsRegistry` carries the numeric aggregates
 (:class:`~repro.noc.stats.NetworkStats` is built on it).  Exporters turn
 a sink into a Chrome-trace/Perfetto JSON, a JSONL event log or a
-Prometheus text dump, and :class:`KernelProfiler` measures where the
-simulator's wall-clock time goes.  :class:`HealthMonitor` is the active
+Prometheus text dump, and the sampling :class:`HostPerfProfiler`
+measures where the simulator's wall-clock time goes, per subsystem and
+per component instance.  :class:`HealthMonitor` is the active
 layer on top: watchdogs (deadlock, starvation, CPU stall, host timeout),
 online invariant checks and a time-series sampler that detect, localise
 and explain pathologies while the simulation runs.
@@ -64,7 +65,6 @@ from .hostperf import (
 )
 from .live import LIVE_SCHEMA, LIVE_TRACKS, LiveStream
 from .metrics import Counter, Gauge, Histogram, MetricError, MetricsRegistry
-from .profiler import KernelProfiler
 from .registry import (
     RUN_SCHEMA,
     RegistryError,
@@ -105,7 +105,6 @@ __all__ = [
     "Histogram",
     "HopBreakdown",
     "HostPerfProfiler",
-    "KernelProfiler",
     "LIVE_SCHEMA",
     "LIVE_TRACKS",
     "LiveStream",

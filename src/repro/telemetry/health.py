@@ -131,7 +131,6 @@ class HealthViolation(Exception):
 RAMP_ASCII = " .:-=+*#%@"
 #: unicode block ramp — crisper on a real terminal
 RAMP_BLOCKS = " ▁▂▃▄▅▆▇█"
-_RAMP = RAMP_ASCII  # backwards-compatible alias
 
 
 def terminal_is_rich(stream=None) -> bool:

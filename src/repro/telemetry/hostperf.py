@@ -1,27 +1,25 @@
 """Host performance observatory: sampling self-profiler + flight recorder.
 
-The lock-step :class:`~repro.telemetry.profiler.KernelProfiler` answers
-"which component is slow?" with exact per-call timings, but it answers
-by *changing the execution mode*: an attached profiler forces the
-kernel out of its quiescence fast path, so the very thing that makes
-large fabrics simulable (~3.5x idle skipping) disappears from the
-measurement.  This module is the complementary instrument: a
-**sampling** profiler that observes the simulator from a side thread
-while it runs at full speed, on whichever kernel path it would have
-taken anyway.
+The simulator's one profiler.  It observes the simulator from a side
+thread while it runs at full speed, on whichever kernel path (quiescent
+or strict lock-step) it would have taken anyway, so the idle skipping
+that makes large fabrics simulable stays in the measurement.
 
 Three pieces:
 
 * :class:`HostPerfProfiler` — a daemon thread samples the simulation
   thread's Python stack every ``interval`` seconds
   (:func:`sys._current_frames`) and attributes the wall-clock time
-  since the previous sample to a *(kernel region, subsystem)* bucket.
-  Kernel regions (wake-heap drain, eval, wire commit, watchers, idle
-  fast-forward) are recovered from ``# hostperf:`` marker comments in
-  :mod:`repro.sim.kernel` via line numbers — zero runtime cost in the
-  kernel itself — and subsystems (Router, NI, ProcessorIP, Uart,
-  Memory, ...) from the innermost sampled frame's module.  Every sample
-  is tagged with the simulated cycle, so the headline metric is
+  since the previous sample to a *(kernel region, subsystem, unit)*
+  bucket.  Kernel regions (wake-heap drain, eval, wire commit,
+  watchers, idle fast-forward) are recovered from ``# hostperf:``
+  marker comments in :mod:`repro.sim.kernel` via line numbers — zero
+  runtime cost in the kernel itself — and subsystems (Router, NI,
+  ProcessorIP, Uart, Memory, ...) from the innermost sampled frame's
+  module.  The *unit* names the component instance the kernel was
+  running (``router10``, ``proc1``, ``serial``), so a hot router or a
+  spinning core shows up by name.  Every sample is tagged with the
+  simulated cycle, so the headline metric is
   **host-seconds per simulated kilocycle per subsystem**.  Cheap
   counters ride the kernel's skip-listener hook to count fast-forward
   spans exactly.  Because every tick's elapsed time lands in *some*
@@ -64,6 +62,8 @@ from pathlib import Path
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..sim.component import Component
+
 HOSTPERF_SCHEMA = "multinoc-hostperf/1"
 CRASH_SCHEMA = "multinoc-crash/1"
 
@@ -100,6 +100,10 @@ _SUBSYSTEM_RULES: Tuple[Tuple[str, str], ...] = (
     ("core/", "Host"),
     ("sim/", "Kernel"),
 )
+
+#: the unit of a sample in which the kernel ran no component: its own
+#: bookkeeping, or host code outside the step loops
+NO_UNIT = "-"
 
 #: component-ish subsystems: the innermost frame in one of these wins
 #: the sample even when outer frames sit in telemetry or host code
@@ -172,6 +176,19 @@ def _region_for_kernel_frame(co_name: str, lineno) -> str:
     return regions[idx] if idx >= 0 else "kernel"
 
 
+def _unit_for_callee(frame) -> str:
+    """Name of what the kernel called in *frame*: the component's
+    ``name`` for a method of a :class:`~repro.sim.component.Component`
+    (the schedulable unit), else the function's qualified name (a
+    watcher or a ``run_until`` predicate)."""
+    code = frame.f_code
+    if code.co_argcount and code.co_varnames[0] == "self":
+        owner = frame.f_locals.get("self")
+        if isinstance(owner, Component):
+            return owner.name
+    return getattr(code, "co_qualname", code.co_name)
+
+
 def _frame_label(frame) -> str:
     """Compact ``package.module:function`` label for folded stacks."""
     filename = frame.f_code.co_filename.replace("\\", "/")
@@ -211,7 +228,7 @@ class HostPerfProfiler:
         Seconds between stack samples (default 5 ms; ~200 samples/s).
     history:
         Recent samples kept for the flight recorder's black box, each a
-        ``(wall, cycle, region, subsystem)`` tuple.
+        ``(wall, cycle, region, subsystem, unit)`` tuple.
     trace_memory:
         Start :mod:`tracemalloc` and attribute allocations by subsystem
         in the snapshot.  Off by default — allocation tracing costs far
@@ -219,10 +236,9 @@ class HostPerfProfiler:
     max_stack_depth:
         Frames kept per folded stack for the flamegraph output.
 
-    Unlike :class:`~repro.telemetry.profiler.KernelProfiler`, attaching
-    this profiler does **not** change the kernel's execution mode: the
-    quiescent fast path, idle fast-forward and watcher cadence all run
-    exactly as in an unobserved simulation.
+    Attaching this profiler does **not** change the kernel's execution
+    mode: the quiescent fast path, idle fast-forward and watcher cadence
+    all run exactly as in an unobserved simulation.
     """
 
     def __init__(
@@ -239,11 +255,11 @@ class HostPerfProfiler:
         self.trace_memory = trace_memory
         self.max_stack_depth = max_stack_depth
 
-        #: (region, subsystem) -> attributed host seconds
-        self.seconds: Dict[Tuple[str, str], float] = {}
+        #: (region, subsystem, unit) -> attributed host seconds
+        self.seconds: Dict[Tuple[str, str, str], float] = {}
         #: folded stack -> sample count (flamegraph input)
         self.stack_counts: Dict[str, int] = {}
-        #: black box: recent (wall, cycle, region, subsystem) samples
+        #: black box: recent (wall, cycle, region, subsystem, unit) samples
         self.recent: deque = deque(maxlen=history)
         self.samples = 0
 
@@ -276,8 +292,8 @@ class HostPerfProfiler:
     def attach(self, sim) -> "HostPerfProfiler":
         """Advertise on *sim* and hook the fast-forward counters.
 
-        Attachment is observational only: ``sim.profiler`` is left
-        untouched, so the kernel stays on whichever path it was on.
+        Attachment is observational only: the kernel never consults the
+        profiler, so it stays on whichever path it was on.
         """
         self.sim = sim
         sim.hostperf = self
@@ -368,28 +384,29 @@ class HostPerfProfiler:
         frames = sys._current_frames().get(self._ident)
         if frames is None:
             return
-        region, subsystem, folded = self._classify(frames)
+        key, folded = self._classify(frames)
         cycle = self.sim.cycle if self.sim is not None else 0
         with self._lock:
-            key = (region, subsystem)
             self.seconds[key] = self.seconds.get(key, 0.0) + dt
             self.stack_counts[folded] = self.stack_counts.get(folded, 0) + 1
             self.samples += 1
-            self.recent.append((now, cycle, region, subsystem))
+            self.recent.append((now, cycle) + key)
 
-    def _classify(self, frame) -> Tuple[str, str, str]:
-        """One sampled stack -> (region, subsystem, folded stack)."""
+    def _classify(self, frame) -> Tuple[Tuple[str, str, str], str]:
+        """One sampled stack -> ((region, subsystem, unit), folded stack)."""
         region: Optional[str] = None
         subsystem: Optional[str] = None
         fallback: Optional[str] = None
+        unit = NO_UNIT
         chain = []
         f = frame
         while f is not None:
             chain.append(f)
             f = f.f_back
         # innermost first: the leaf component wins the subsystem, the
-        # innermost Simulator frame wins the region
-        for f in chain:
+        # innermost Simulator frame wins the region, and the first frame
+        # it called outside the kernel package names the unit
+        for i, f in enumerate(chain):
             filename = f.f_code.co_filename
             mapped = _subsystem_for_filename(filename)
             if mapped is None:
@@ -401,6 +418,12 @@ class HostPerfProfiler:
                     region = _region_for_kernel_frame(
                         f.f_code.co_name, f.f_lineno
                     )
+                    for callee in reversed(chain[:i]):
+                        if _subsystem_for_filename(
+                            callee.f_code.co_filename
+                        ) != "Kernel":
+                            unit = _unit_for_callee(callee)
+                            break
                 if fallback is None:
                     fallback = "Kernel"
             elif subsystem is None and mapped in _COMPONENT_SUBSYSTEMS:
@@ -417,7 +440,7 @@ class HostPerfProfiler:
             _frame_label(f)
             for f in reversed(chain[: self.max_stack_depth])
         )
-        return region, subsystem, folded
+        return (region, subsystem, unit), folded
 
     def _on_gc(self, phase: str, info: Dict[str, Any]) -> None:
         if phase == "start":
@@ -454,41 +477,48 @@ class HostPerfProfiler:
         )
         return max(end - self._start_cycle, 0)
 
-    def by_subsystem(self) -> Dict[str, float]:
-        """Host seconds per subsystem, descending."""
+    def _totals(self, field: int) -> Dict[str, float]:
+        """Host seconds summed over one field of the bucket key,
+        descending."""
         with self._lock:
             totals: Dict[str, float] = {}
-            for (_, subsystem), s in self.seconds.items():
-                totals[subsystem] = totals.get(subsystem, 0.0) + s
+            for key, s in self.seconds.items():
+                totals[key[field]] = totals.get(key[field], 0.0) + s
         return dict(
             sorted(totals.items(), key=lambda kv: kv[1], reverse=True)
         )
 
     def by_region(self) -> Dict[str, float]:
         """Host seconds per kernel region, descending."""
-        with self._lock:
-            totals: Dict[str, float] = {}
-            for (region, _), s in self.seconds.items():
-                totals[region] = totals.get(region, 0.0) + s
-        return dict(
-            sorted(totals.items(), key=lambda kv: kv[1], reverse=True)
-        )
+        return self._totals(0)
+
+    def by_subsystem(self) -> Dict[str, float]:
+        """Host seconds per subsystem, descending."""
+        return self._totals(1)
+
+    def by_unit(self) -> Dict[str, float]:
+        """Host seconds per unit (component instance, watcher, or
+        :data:`NO_UNIT`), descending."""
+        return self._totals(2)
 
     def snapshot(self) -> Dict[str, Any]:
         """The full observation as a ``multinoc-hostperf/1`` document."""
         wall = self.wall_seconds
         cycles = self.sim_cycles
         kcycles = cycles / 1000.0
-        subsystems = {
-            name: {
-                "seconds": round(s, 6),
-                "share": round(s / wall, 4) if wall > 0 else 0.0,
-                "host_s_per_kcycle": (
-                    round(s / kcycles, 6) if kcycles > 0 else None
-                ),
+
+        def table(totals: Dict[str, float]) -> Dict[str, Any]:
+            return {
+                name: {
+                    "seconds": round(s, 6),
+                    "share": round(s / wall, 4) if wall > 0 else 0.0,
+                    "host_s_per_kcycle": (
+                        round(s / kcycles, 6) if kcycles > 0 else None
+                    ),
+                }
+                for name, s in totals.items()
             }
-            for name, s in self.by_subsystem().items()
-        }
+
         doc: Dict[str, Any] = {
             "schema": HOSTPERF_SCHEMA,
             "interval_s": self.interval,
@@ -503,7 +533,8 @@ class HostPerfProfiler:
             "regions": {
                 name: round(s, 6) for name, s in self.by_region().items()
             },
-            "subsystems": subsystems,
+            "subsystems": table(self.by_subsystem()),
+            "units": table(self.by_unit()),
             "fast_forward": {
                 "spans": self.ff_spans,
                 "cycles": self.ff_cycles,
@@ -552,17 +583,25 @@ class HostPerfProfiler:
         lines = [
             f"host profile: {self.samples} samples over {wall:.2f} s, "
             f"{cycles:,} cycles ({rate:,.0f} cycles/s)",
-            f"{'subsystem':<14} {'time':>10} {'share':>7} "
-            f"{'host-s/kcyc':>12}",
         ]
-        for name, s in list(self.by_subsystem().items())[:top]:
-            per_kcyc = (
-                f"{s / kcycles:>12.6f}" if kcycles > 0 else f"{'-':>12}"
-            )
+        for heading, totals in (
+            ("subsystem", self.by_subsystem()),
+            ("unit", self.by_unit()),
+        ):
+            rows = list(totals.items())[:top]
+            width = max([14] + [len(name) for name, _ in rows])
             lines.append(
-                f"{name:<14} {s * 1e3:>8.1f}ms "
-                f"{s / wall if wall > 0 else 0:>6.1%} {per_kcyc}"
+                f"{heading:<{width}} {'time':>10} {'share':>7} "
+                f"{'host-s/kcyc':>12}"
             )
+            for name, s in rows:
+                per_kcyc = (
+                    f"{s / kcycles:>12.6f}" if kcycles > 0 else f"{'-':>12}"
+                )
+                lines.append(
+                    f"{name:<{width}} {s * 1e3:>8.1f}ms "
+                    f"{s / wall if wall > 0 else 0:>6.1%} {per_kcyc}"
+                )
         region_text = "  ".join(
             f"{name} {s / wall if wall > 0 else 0:.0%}"
             for name, s in list(self.by_region().items())[:6]
@@ -626,7 +665,7 @@ class HostPerfProfiler:
         ).set_function(lambda: self.gc_pauses)
         registry.gauge(
             "host_attributed_seconds",
-            "wall seconds attributed to (region, subsystem) buckets",
+            "wall seconds attributed to (region, subsystem, unit) buckets",
         ).set_function(lambda: self.attributed_seconds)
 
     def run_metrics(self) -> Dict[str, float]:

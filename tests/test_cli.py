@@ -260,9 +260,15 @@ class TestSystem:
 
     def test_profile_report(self, asm_file, capsys):
         assert main(["system", str(asm_file), "--profile"]) == 0
-        out = capsys.readouterr().out
-        assert "kernel profile" in out
-        assert "router" in out
+        captured = capsys.readouterr()
+        assert "host profile:" in captured.out
+        # the per-unit table: one row per component instance
+        assert any(
+            line.split()[:2] == ["unit", "time"]
+            for line in captured.out.splitlines()
+        )
+        # sampling keeps the kernel on its quiescent path
+        assert "lock-step" not in captured.err
 
     def test_monitor_healthy_run(self, asm_file, tmp_path, capsys):
         import json
@@ -319,7 +325,7 @@ class TestSystem:
 
     def test_failed_run_still_prints_profile(self, tmp_path, capsys):
         # exactly the runs that most need profiling: a timed-out run
-        # must still emit the kernel-profile table before returning 1
+        # must still emit the host-profile table before returning 1
         path = tmp_path / "wedge.asm"
         path.write_text(ECHO)
         assert (
@@ -337,7 +343,7 @@ class TestSystem:
         )
         captured = capsys.readouterr()
         assert "error:" in captured.err
-        assert "kernel profile" in captured.out
+        assert "host profile" in captured.out
 
     def test_failed_run_flushes_exports(self, tmp_path, capsys):
         path = tmp_path / "wedge.asm"
@@ -363,7 +369,7 @@ class TestSystem:
 
     def test_hostperf_flag(self, asm_file, capsys):
         assert (
-            main(["system", str(asm_file), "--hostperf", "--no-record"]) == 0
+            main(["system", str(asm_file), "--profile", "--no-record"]) == 0
         )
         out = capsys.readouterr().out
         assert "host profile" in out
@@ -380,7 +386,7 @@ class TestSystem:
                 [
                     "system",
                     str(path),
-                    "--hostperf",
+                    "--profile",
                     "--crash-dir",
                     str(crash_dir),
                     "--max-cycles",
@@ -396,6 +402,35 @@ class TestSystem:
         manifest = json.loads((bundles[0] / "manifest.json").read_text())
         assert manifest["schema"] == "multinoc-crash/1"
         assert manifest["exception"]["type"] == "SimulationTimeout"
+
+
+    def test_failed_run_closes_server(self, tmp_path, capsys):
+        import re
+        import socket
+
+        path = tmp_path / "wedge.asm"
+        path.write_text(ECHO)
+        assert (
+            main(
+                [
+                    "system",
+                    str(path),
+                    "--serve",
+                    "0",
+                    "--monitor",
+                    "--max-cycles",
+                    "20000",
+                    "--no-record",
+                ]
+            )
+            == 1
+        )
+        out = capsys.readouterr().out
+        host, port = re.search(
+            r"telemetry server -> http://([\d.]+):(\d+)", out
+        ).groups()
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection((host, int(port)), timeout=2).close()
 
 
 class TestPrototype:

@@ -1,6 +1,7 @@
 """Tests for the host performance observatory (`repro.telemetry.hostperf`).
 
 Covers the kernel region-marker parsing and subsystem classification,
+attribution to component instances (units) in both kernel modes,
 the sampling profiler's snapshot/report/folded outputs and its ≥90%
 wall-clock attribution contract, memory telemetry (RSS, GC pauses),
 metrics-registry and live-frame surfacing, run-registry metrics, the
@@ -16,7 +17,10 @@ import json
 
 import pytest
 
+from repro.apps.workloads import TrafficConfig, drive_traffic
 from repro.core import MultiNoCPlatform
+from repro.noc.network import HermesNetwork
+from repro.r8.assembler import assemble
 from repro.sim import SimulationTimeout
 from repro.telemetry import (
     CRASH_SCHEMA,
@@ -161,6 +165,13 @@ class TestHostPerfProfiler:
         assert prof.gc_pauses >= before + 2
         assert prof.gc_pause_s >= 0
 
+    def test_detach_leaves_replacement_installed(self):
+        session = MultiNoCPlatform.standard().launch()
+        first = HostPerfProfiler().attach(session.sim)
+        second = HostPerfProfiler().attach(session.sim)
+        first.detach()
+        assert session.sim.hostperf is second
+
     def test_detach_restores_simulator(self):
         session = MultiNoCPlatform.standard().launch()
         prof = session.profile_host()
@@ -186,6 +197,97 @@ class TestHostPerfProfiler:
         assert "host_rss_bytes" in text
         assert "host_profile_samples" in text
         assert "host_attributed_seconds" in text
+
+
+def sample_until(sim, prof, samples=40, max_cycles=200_000):
+    """Step *sim* until *prof* holds *samples* samples (wall-clock
+    bound, so the cycle budget only guards against a stalled sampler)."""
+    while prof.samples < samples and sim.cycle < max_cycles:
+        sim.step(200)
+    prof.stop()
+    assert prof.samples >= samples
+
+
+class TestUnitAttribution:
+    """Samples are attributed to the component instance the kernel was
+    running, by name, without changing the kernel mode."""
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_routers_named_in_unit_table(self, strict):
+        # contended uniform traffic keeps every router of a 3x3 mesh busy
+        net = HermesNetwork(3, 3)
+        sim = net.make_simulator(strict_lockstep=strict)
+        drive_traffic(net, TrafficConfig(rate=0.05, duration=200_000))
+        sim.reset()
+        prof = HostPerfProfiler(interval=0.001).attach(sim).start()
+        sample_until(sim, prof)
+        units = prof.by_unit()
+        routers = {r.name for r in net.mesh.routers.values()}
+        assert len(routers & set(units)) >= 2, units
+        # composites that only dispatch to children are never units
+        assert net.name not in units and net.mesh.name not in units
+        snap = prof.snapshot()
+        assert set(snap["units"]) == set(units)
+        assert sum(v["seconds"] for v in snap["units"].values()) == (
+            pytest.approx(snap["attributed_s"], rel=1e-3)
+        )
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_platform_composite_never_a_unit(self, strict):
+        session = MultiNoCPlatform.standard().launch(strict_lockstep=strict)
+        prof = session.profile_host(interval=0.001)
+        session.host.sync()
+        addr = session.processor_address(1)
+        # a core printing forever keeps the NoC, serial IP and host busy
+        session.host.load_program(
+            addr,
+            assemble(
+                "        CLR  R0\n"
+                "        LDI  R2, 0xFFFF\n"
+                "loop:   ST   R0, R2, R0\n"
+                "        JMP  loop\n"
+            ),
+        )
+        session.host.activate(addr)
+        sample_until(session.sim, prof, samples=20)
+        units = set(prof.by_unit())
+        assert "multinoc" not in units
+        names = {c.name for c in session.system.iter_components()}
+        assert units & names, units
+
+    def test_report_has_unit_table(self):
+        net = HermesNetwork(3, 3)
+        sim = net.make_simulator()
+        drive_traffic(net, TrafficConfig(rate=0.05, duration=200_000))
+        sim.reset()
+        prof = HostPerfProfiler(interval=0.001).attach(sim).start()
+        sample_until(sim, prof, samples=20)
+        lines = prof.report(top=5).splitlines()
+        assert lines[0].startswith("host profile:")
+        headers = [
+            i for i, line in enumerate(lines)
+            if line.split()[1:] == ["time", "share", "host-s/kcyc"]
+        ]
+        assert [lines[i].split()[0] for i in headers] == ["subsystem", "unit"]
+        unit_rows = lines[headers[1] + 1:]
+        assert any(row.startswith("router") for row in unit_rows[:5])
+        assert "%" in lines[headers[1] + 1]
+
+    def test_watchers_are_named(self):
+        net = HermesNetwork(2, 2)
+        # lock-step: an idle quiescent mesh would call watchers only at
+        # fast-forward landings
+        sim = net.make_simulator(strict_lockstep=True)
+
+        def slow_watcher(cycle):
+            sum(range(2000))
+
+        sim.add_watcher(slow_watcher)
+        prof = HostPerfProfiler(interval=0.001).attach(sim).start()
+        sample_until(sim, prof, samples=10)
+        assert any(
+            unit.endswith("slow_watcher") for unit in prof.by_unit()
+        )
 
 
 class TestSurfacing:
