@@ -14,6 +14,7 @@ one in both kernel modes.
 import gc
 import io
 import json
+import time
 
 import pytest
 
@@ -182,6 +183,38 @@ class TestHostPerfProfiler:
         assert len(session.sim._skip_listeners) == spans_hooked - 1
         # detach is idempotent
         prof.detach()
+
+    def test_attach_detach_round_trip(self):
+        session = MultiNoCPlatform.standard().launch()
+        prof = session.profile_host(interval=0.001)
+        session.sim.step(20)
+        prof.detach()
+        assert session.sim.hostperf is None
+        # the measurement survives detach; later steps are not counted
+        assert prof.sim_cycles == 20
+        samples = prof.samples
+        before = session.sim.cycle
+        session.sim.step(100)
+        assert session.sim.cycle == before + 100
+        assert prof.sim_cycles == 20
+        assert prof.samples == samples
+        # detaching twice, or when never attached, is a no-op
+        prof.detach()
+        HostPerfProfiler().detach()
+
+    def test_zero_cycle_report(self):
+        session = MultiNoCPlatform.standard().launch()
+        prof = session.profile_host(interval=0.001)
+        time.sleep(0.01)
+        prof.stop()
+        assert prof.samples >= 1
+        report = prof.report()
+        assert "0 cycles" in report
+        # the tables still render, with no per-kcycle figure to divide
+        assert "subsystem" in report and "unit" in report
+        assert "host-s/kcyc" in report
+        rows = [line for line in report.splitlines() if "ms " in line]
+        assert rows and all(line.split()[-1] == "-" for line in rows)
 
     def test_run_metrics_flow_into_registry(self, tmp_path):
         session, prof = run_profiled()
@@ -367,6 +400,33 @@ class TestEquivalence:
             l for l in text.splitlines() if not l.startswith("$comment")
         ]
         assert strip(base[-1]) == strip(sampled[-1])
+
+    def test_profiled_run_is_bit_identical(self):
+        """Attaching the profiler leaves the default kernel on its
+        quiescent path: it still fast-forwards, and architectural state,
+        printf stream and packet counts match the unprofiled run."""
+
+        def run(profiled):
+            session = MultiNoCPlatform.standard().launch()
+            prof = session.profile_host(interval=0.001) if profiled else None
+            session.host.sync()
+            session.run(1, "        CLR  R0\n"
+                           "        LDI  R1, 42\n"
+                           "        LDI  R2, 0xFFFF\n"
+                           "        ST   R1, R2, R0\n"
+                           "        HALT\n")
+            if prof is not None:
+                prof.stop()
+                assert not session.sim.strict_lockstep
+                assert prof.ff_spans > 0 and prof.ff_cycles > 0
+            return (
+                session.sim.cycle,
+                session.host.monitor(1).printf_values,
+                session.system.stats.packets_injected,
+                session.read(1, 0, 16),
+            )
+
+        assert run(profiled=False) == run(profiled=True)
 
 
 class TestFlightRecorder:
