@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from repro.apps.workloads import TrafficConfig, drive_traffic
 from repro.noc import HermesNetwork
 
+from .hypothesis_budget import scaled
+
 
 @st.composite
 def traffic_case(draw):
@@ -37,7 +39,7 @@ def traffic_case(draw):
     return width, height, packets, depth, routing_cycles
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=scaled(60), deadline=None)
 @given(traffic_case())
 def test_exactly_once_uncorrupted_delivery(case):
     width, height, packets, depth, routing_cycles = case
@@ -69,7 +71,7 @@ def test_exactly_once_uncorrupted_delivery(case):
     assert all(lat > 0 for lat in net.stats.latencies)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=scaled(25), deadline=None)
 @given(traffic_case())
 def test_network_drains_and_goes_idle(case):
     """After delivery the mesh holds no residual state: a further packet
@@ -99,7 +101,7 @@ def test_network_drains_and_goes_idle(case):
     )
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=scaled(20), deadline=None)
 @given(
     kind=st.sampled_from(["mesh", "torus"]),
     width=st.integers(2, 4),
