@@ -6,6 +6,10 @@ same tx/data/ack handshake the routers use among themselves.  The
 :class:`~repro.noc.packet.Packet` for injection, collect fully reassembled
 packets on reception — while still exercising the exact flit-level timing
 (two cycles per flit, blocking on a busy network).
+
+Like the router, the NI is the only driver of its wires (``tx``/``data``
+toward the router, ``ack`` back to it) and drives one only when its
+value changes; see :mod:`repro.noc.router`.
 """
 
 from __future__ import annotations
@@ -207,51 +211,48 @@ class NetworkInterface(Component):
             self._tx_index = 0
             self._tx_in_flight = False
         if self._tx_packet is None:
-            # Idle: tx must be low.  Only this NI drives the wire, so when
-            # both phases already read 0 the drive is a no-op — skip it.
-            tx = ch.tx
-            if tx.value or tx._next:
-                tx.drive(0)
+            # idle: tx is already low (it falls with the last flit)
             return
         if self._tx_in_flight:
-            if ch.ack.value:
-                if self._tx_index == 0:
-                    self._tx_packet.injected_cycle = cycle
-                self._tx_index += 1
-                if self._tx_index >= len(self._tx_flits):
-                    if self.stats is not None:
-                        self.stats.packet_injected(self._tx_packet)
-                    if self.sink is not None:
-                        start = self._tx_packet.injected_cycle
-                        target = self._tx_packet.target
-                        seq = self._flow_seq.get(target, 0)
-                        self._flow_seq[target] = seq + 1
-                        src = f"{self.address[0]},{self.address[1]}"
-                        tgt = f"{target[0]},{target[1]}"
-                        self.sink.complete(
-                            self.name,
-                            "inject",
-                            start if start is not None else cycle,
-                            cycle - start if start is not None else 0,
-                            target=tgt,
-                            flits=len(self._tx_flits),
-                            src=src,
-                            flow=f"{src}>{tgt}",
-                            seq=seq,
-                            queued=self._tx_packet.created_cycle,
-                        )
-                    self._tx_packet = None
-                    self._tx_in_flight = False
-                    ch.tx.drive(0)
-                    return
-                self._tx_in_flight = True
-            # present current (or next) flit
-            ch.tx.drive(1)
-            ch.data.drive(self._tx_flits[self._tx_index])
+            if not ch.ack.value:
+                # waiting: tx and data already hold the presented flit
+                return
+            if self._tx_index == 0:
+                self._tx_packet.injected_cycle = cycle
+            self._tx_index += 1
+            if self._tx_index >= len(self._tx_flits):
+                if self.stats is not None:
+                    self.stats.packet_injected(self._tx_packet)
+                if self.sink is not None:
+                    start = self._tx_packet.injected_cycle
+                    target = self._tx_packet.target
+                    seq = self._flow_seq.get(target, 0)
+                    self._flow_seq[target] = seq + 1
+                    src = f"{self.address[0]},{self.address[1]}"
+                    tgt = f"{target[0]},{target[1]}"
+                    self.sink.complete(
+                        self.name,
+                        "inject",
+                        start if start is not None else cycle,
+                        cycle - start if start is not None else 0,
+                        target=tgt,
+                        flits=len(self._tx_flits),
+                        src=src,
+                        flow=f"{src}>{tgt}",
+                        seq=seq,
+                        queued=self._tx_packet.created_cycle,
+                    )
+                self._tx_packet = None
+                self._tx_in_flight = False
+                ch.tx.drive(0)
+                return
         else:
             ch.tx.drive(1)
-            ch.data.drive(self._tx_flits[self._tx_index])
             self._tx_in_flight = True
+        # present the current (or next) flit
+        flit = self._tx_flits[self._tx_index]
+        if ch.data._next != flit:
+            ch.data.drive(flit)
 
     def _eval_receiver(self, cycle: int) -> None:
         ch = self.from_router
@@ -264,10 +265,6 @@ class NetworkInterface(Component):
         if ch.tx.value:
             self._accept_flit(ch.data.value, cycle)
             ack.drive(1)
-        elif ack._next:
-            # ack is already low in both phases on a silent link; driving
-            # 0 again would be a no-op (only this NI drives the wire).
-            ack.drive(0)
 
     def _accept_flit(self, flit: int, cycle: int) -> None:
         if self._rx_state == _RX_HEADER:

@@ -20,6 +20,16 @@ Timing model
 * Once a connection input->output is established, flits stream through at
   one flit per two cycles until the payload count (snooped from the size
   flit) is exhausted, then the connection closes.
+
+Drive on change
+---------------
+The router is the only driver of its output channels' ``tx``/``data``
+and of its input channels' ``ack``, and at the start of every eval each
+wire's committed value equals its scheduled one (``value == _next``;
+reset and checkpoint restore set both phases).  So a wire is driven only
+when its value changes: an idle port costs no drive at all, and each
+eval walks only the attached ports.  Every drive that does happen is
+still range-checked by the link's :class:`~repro.sim.wire.CheckedWire`.
 """
 
 from __future__ import annotations
@@ -96,6 +106,10 @@ class HermesRouter(Component):
 
         self.in_ch: List[Optional[HandshakeTx]] = [None] * self.N_PORTS
         self.out_ch: List[Optional[HandshakeTx]] = [None] * self.N_PORTS
+        #: attached ports in port order: (port, channel, input FIFO) and
+        #: (port, channel); the per-cycle loops walk only these
+        self._in_ports: Tuple[Tuple[int, HandshakeTx, CircularFifo], ...] = ()
+        self._out_ports: Tuple[Tuple[int, HandshakeTx], ...] = ()
 
         self.fifos = [CircularFifo(buffer_depth) for _ in range(self.N_PORTS)]
         # Input-side connection state.
@@ -116,6 +130,11 @@ class HermesRouter(Component):
     def attach_input(self, port: Port, channel: HandshakeTx) -> None:
         """Attach the receive side of *channel* to *port* (we drive ack)."""
         self.in_ch[port] = channel
+        self._in_ports = tuple(
+            (p, ch, self.fifos[p])
+            for p, ch in enumerate(self.in_ch)
+            if ch is not None
+        )
         self.adopt_wires([channel.ack])
         # A committed change on the neighbour's tx/data must wake us; the
         # output-side ack only matters while a connection is open, and an
@@ -125,6 +144,9 @@ class HermesRouter(Component):
     def attach_output(self, port: Port, channel: HandshakeTx) -> None:
         """Attach the send side of *channel* to *port* (we drive tx/data)."""
         self.out_ch[port] = channel
+        self._out_ports = tuple(
+            (p, ch) for p, ch in enumerate(self.out_ch) if ch is not None
+        )
         self.adopt_wires([channel.tx, channel.data])
 
     # -- simulation ----------------------------------------------------------
@@ -142,11 +164,14 @@ class HermesRouter(Component):
         our own ack pulse already dropped back to zero)."""
         if self._ctrl_state != _CTRL_IDLE:
             return False
-        for p in range(self.N_PORTS):
-            if self.in_conn[p] is not None or self.fifos[p]:
-                return False
-            ch = self.in_ch[p]
-            if ch is not None and (ch.tx.value or ch.ack.value):
+        in_conn = self.in_conn
+        for p, ch, fifo in self._in_ports:
+            if (
+                fifo._count
+                or in_conn[p] is not None
+                or ch.tx.value
+                or ch.ack.value
+            ):
                 return False
         return True
 
@@ -207,37 +232,37 @@ class HermesRouter(Component):
     # -- output ports (handshake senders) -----------------------------------
 
     def _eval_senders(self) -> None:
-        for out in range(self.N_PORTS):
-            ch = self.out_ch[out]
-            if ch is None:
-                continue
-            owner = self.out_owner[out]
+        # tx is high exactly while a flit is in flight: it rises when a
+        # flit is presented and falls when the last acknowledged flit
+        # leaves no successor, so neither wire is re-driven while the
+        # sender waits for ack (the FIFO head cannot change meanwhile).
+        out_owner = self.out_owner
+        in_flight = self._in_flight
+        for out, ch in self._out_ports:
+            owner = out_owner[out]
             if owner is None:
-                ch.tx.drive(0)
-                self._in_flight[out] = False
                 continue
             fifo = self.fifos[owner]
-            if self._in_flight[out]:
-                if ch.ack.value:
-                    flit = fifo.pop()
-                    if self.stats is not None:
-                        self.stats.flit_sent(self.address, out)
-                    self._advance_packet(owner, out, flit)
-                    if self.out_owner[out] == owner and not fifo.is_empty:
-                        ch.tx.drive(1)
-                        ch.data.drive(fifo.head)
-                    else:
-                        ch.tx.drive(0)
-                        self._in_flight[out] = False
+            if in_flight[out]:
+                if not ch.ack.value:
+                    continue
+                flit = fifo.pop()
+                if self.stats is not None:
+                    self.stats.flit_sent(self.address, out)
+                self._advance_packet(owner, out, flit)
+                if out_owner[out] == owner and fifo._count:
+                    head = fifo.head
+                    if ch.data._next != head:
+                        ch.data.drive(head)
                 else:
-                    ch.tx.drive(1)
-                    ch.data.drive(fifo.head)
-            elif not fifo.is_empty:
+                    ch.tx.drive(0)
+                    in_flight[out] = False
+            elif fifo._count:
                 ch.tx.drive(1)
-                ch.data.drive(fifo.head)
-                self._in_flight[out] = True
-            else:
-                ch.tx.drive(0)
+                head = fifo.head
+                if ch.data._next != head:
+                    ch.data.drive(head)
+                in_flight[out] = True
 
     def _advance_packet(self, in_port: int, out_port: int, flit: int) -> None:
         """Track packet framing as a flit leaves, closing on the last one."""
@@ -277,12 +302,18 @@ class HermesRouter(Component):
 
     def _eval_control(self) -> None:
         if self._ctrl_state == _CTRL_IDLE:
-            requests = [
-                self.in_ch[p] is not None
-                and self.in_conn[p] is None
-                and not self.fifos[p].is_empty
-                for p in range(self.N_PORTS)
-            ]
+            # a request is an unconnected attached input holding flits;
+            # with none, the arbiter would grant nothing and keep its
+            # state, so an idle control logic returns before asking it
+            in_conn = self.in_conn
+            requests = None
+            for p, _, fifo in self._in_ports:
+                if fifo._count and in_conn[p] is None:
+                    if requests is None:
+                        requests = [False] * self.N_PORTS
+                    requests[p] = True
+            if requests is None:
+                return
             grant = self.arbiter.grant(requests)
             if grant is not None:
                 self._ctrl_state = _CTRL_ROUTING
@@ -336,28 +367,23 @@ class HermesRouter(Component):
     # -- input ports (handshake receivers) -----------------------------------
 
     def _eval_receivers(self) -> None:
-        for p in range(self.N_PORTS):
-            ch = self.in_ch[p]
-            if ch is None:
-                continue
-            if ch.ack.value:
-                # ack is a single-cycle pulse.
-                ch.ack.drive(0)
-            elif ch.tx.value and not self.fifos[p].is_full:
-                self.fifos[p].push(ch.data.value)
-                ch.ack.drive(1)
-                if self.stats is not None:
-                    self.stats.flit_received(self.address, p)
-                if self.sink is not None:
-                    self._rx_track(p, ch.data.value)
-            else:
-                if (
-                    self.stats is not None
-                    and ch.tx.value
-                    and self.fifos[p].is_full
-                ):
+        # ack is a single-cycle pulse; between pulses it stays low
+        # without being re-driven.
+        for p, ch, fifo in self._in_ports:
+            ack = ch.ack
+            if ack.value:
+                ack.drive(0)
+            elif ch.tx.value:
+                if fifo._count != fifo.capacity:
+                    flit = ch.data.value
+                    fifo.push(flit)
+                    ack.drive(1)
+                    if self.stats is not None:
+                        self.stats.flit_received(self.address, p)
+                    if self.sink is not None:
+                        self._rx_track(p, flit)
+                elif self.stats is not None:
                     self.stats.stall(self.address, p)
-                ch.ack.drive(0)
 
     def _rx_track(self, port: int, flit: int) -> None:
         """Telemetry-only receive-side framing: stamp the FIFO-entry cycle
@@ -418,10 +444,8 @@ class HermesRouter(Component):
         the control logic is routing."""
         if self._ctrl_state != _CTRL_IDLE:
             return True
-        for f in self.fifos:
-            if f:
-                return True
-        for c in self.in_conn:
-            if c is not None:
+        in_conn = self.in_conn
+        for p, _, fifo in self._in_ports:
+            if fifo._count or in_conn[p] is not None:
                 return True
         return False
