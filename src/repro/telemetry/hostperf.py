@@ -268,6 +268,7 @@ class HostPerfProfiler:
         self._thread: Optional[threading.Thread] = None
         self._stop = threading.Event()
         self._lock = threading.Lock()
+        self._last_tick = 0.0  # wall time the latest interval ended
 
         self._start_wall: Optional[float] = None
         self._start_cycle = 0
@@ -319,7 +320,7 @@ class HostPerfProfiler:
         if self._thread is not None:
             return self
         self._ident = threading.get_ident()
-        self._start_wall = perf_counter()
+        self._start_wall = self._last_tick = perf_counter()
         self._start_cycle = self.sim.cycle if self.sim is not None else 0
         self._stop.clear()
         if not self._gc_hooked:
@@ -344,6 +345,11 @@ class HostPerfProfiler:
         thread = self._thread
         if thread is None:
             return self
+        # Attribute the final partial interval here, to the caller's
+        # stack, so the per-bucket total tracks measured wall time (the
+        # >=90% coverage contract); the sampler would see this thread
+        # inside stop() itself.
+        self._tick(sys._getframe(1), perf_counter())
         self._stop.set()
         thread.join(timeout=2.0)
         self._thread = None
@@ -362,38 +368,40 @@ class HostPerfProfiler:
         return self
 
     def _run(self) -> None:
-        last = perf_counter()
         ticks = 0
         while not self._stop.wait(self.interval):
-            now = perf_counter()
-            self._tick(now - last, now)
-            last = now
+            frame = sys._current_frames().get(self._ident)
+            if frame is not None:
+                self._tick(frame, perf_counter())
             ticks += 1
             if ticks % 16 == 0:
                 rss = read_rss_bytes()
                 self.rss_bytes = rss
                 if rss > self.rss_peak_bytes:
                     self.rss_peak_bytes = rss
-        # attribute the final partial interval so the per-bucket total
-        # tracks measured wall time (the >=90% coverage contract)
-        now = perf_counter()
-        if now > last:
-            self._tick(now - last, now)
 
-    def _tick(self, dt: float, now: float) -> None:
-        frames = sys._current_frames().get(self._ident)
-        if frames is None:
-            return
-        key, folded = self._classify(frames)
+    def _tick(self, frame, now: float) -> None:
+        """Bill the time since the previous tick to *frame*'s stack."""
+        classified = self._classify(frame)
+        if classified is None:
+            return  # inside stop(), which bills the tail itself
+        key, folded = classified
         cycle = self.sim.cycle if self.sim is not None else 0
         with self._lock:
+            dt = now - self._last_tick
+            if dt <= 0:
+                return  # stop() billed the tail while this tick waited
+            self._last_tick = now
             self.seconds[key] = self.seconds.get(key, 0.0) + dt
             self.stack_counts[folded] = self.stack_counts.get(folded, 0) + 1
             self.samples += 1
             self.recent.append((now, cycle) + key)
 
-    def _classify(self, frame) -> Tuple[Tuple[str, str, str], str]:
-        """One sampled stack -> ((region, subsystem, unit), folded stack)."""
+    def _classify(
+        self, frame
+    ) -> Optional[Tuple[Tuple[str, str, str], str]]:
+        """One sampled stack -> ((region, subsystem, unit), folded stack),
+        or ``None`` for a stack inside :meth:`stop`."""
         region: Optional[str] = None
         subsystem: Optional[str] = None
         fallback: Optional[str] = None
@@ -401,6 +409,8 @@ class HostPerfProfiler:
         chain = []
         f = frame
         while f is not None:
+            if f.f_code is _STOP_CODE:
+                return None
             chain.append(f)
             f = f.f_back
         # innermost first: the leaf component wins the subsystem, the
@@ -685,6 +695,10 @@ class HostPerfProfiler:
                 self.attributed_seconds / wall, 4
             )
         return metrics
+
+
+#: a sampled stack through this code object is the profiler stopping
+_STOP_CODE = HostPerfProfiler.stop.__code__
 
 
 class FlightRecorder:

@@ -37,6 +37,14 @@ from repro.telemetry.hostperf import (
     _subsystem_for_filename,
 )
 
+STORE_42 = """
+        CLR  R0
+        LDI  R1, 42
+        LDI  R2, 0xFFFF
+        ST   R1, R2, R0
+        HALT
+"""
+
 PRINTF_LOOP = """
         CLR  R0
         LDI  R2, 0xFFFF
@@ -215,6 +223,22 @@ class TestHostPerfProfiler:
         assert "host-s/kcyc" in report
         rows = [line for line in report.splitlines() if "ms " in line]
         assert rows and all(line.split()[-1] == "-" for line in rows)
+
+    def test_short_run_tail_is_not_billed_to_stop(self):
+        """A run shorter than the interpreter's thread switch interval
+        gets no sample of its own; the final partial interval then goes
+        to the code that called stop(), never to the profiler's join."""
+        session = MultiNoCPlatform.standard().launch()
+        prof = session.profile_host(interval=0.001)
+        session.host.sync()
+        session.run(1, STORE_42)
+        prof.stop()
+        assert prof.samples >= 1
+        stacks = prof.folded_stacks()
+        assert stacks and not any("hostperf:stop" in s for s in stacks)
+        top = max(prof.by_subsystem().items(), key=lambda kv: kv[1])[0]
+        assert top != "Telemetry"
+        assert prof.attributed_seconds >= 0.9 * prof.wall_seconds
 
     def test_run_metrics_flow_into_registry(self, tmp_path):
         session, prof = run_profiled()
