@@ -345,16 +345,17 @@ class HostPerfProfiler:
         thread = self._thread
         if thread is None:
             return self
-        # Attribute the final partial interval here, to the caller's
-        # stack, so the per-bucket total tracks measured wall time (the
-        # >=90% coverage contract); the sampler would see this thread
-        # inside stop() itself.
-        self._tick(sys._getframe(1), perf_counter())
+        # The measured window ends here.  Attribute its final partial
+        # interval now, to the caller's stack, so the per-bucket total
+        # tracks measured wall time (the >=90% coverage contract); the
+        # sampler would see this thread inside stop() itself.
+        end = perf_counter()
+        self._tick(sys._getframe(1), end)
         self._stop.set()
         thread.join(timeout=2.0)
         self._thread = None
         if self._start_wall is not None:
-            self._wall_s += perf_counter() - self._start_wall
+            self._wall_s += end - self._start_wall
             self._start_wall = None
         self._end_cycle = self.sim.cycle if self.sim is not None else 0
         if self._gc_hooked:
