@@ -28,11 +28,6 @@ class CircularFifo:
     def __len__(self) -> int:
         return self._count
 
-    def __bool__(self) -> bool:
-        """Truthy while holding flits — the cheapest occupancy test,
-        used by the router's per-cycle quiescence scan."""
-        return self._count != 0
-
     @property
     def is_empty(self) -> bool:
         return self._count == 0

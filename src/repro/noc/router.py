@@ -34,6 +34,8 @@ still range-checked by the link's :class:`~repro.sim.wire.CheckedWire`.
 
 from __future__ import annotations
 
+from bisect import insort
+from operator import itemgetter
 from typing import List, Optional, Tuple
 
 from ..sim import Component, HandshakeTx
@@ -47,6 +49,9 @@ from .topology import port_label
 class RoutingError(Exception):
     """A packet asked for an output port that does not exist."""
 
+
+#: sort key of the attached-port lists
+_PORT = itemgetter(0)
 
 # Input-side packet phases (what the *next popped flit* is).
 _PH_HEADER = 0
@@ -108,8 +113,8 @@ class HermesRouter(Component):
         self.out_ch: List[Optional[HandshakeTx]] = [None] * self.N_PORTS
         #: attached ports in port order: (port, channel, input FIFO) and
         #: (port, channel); the per-cycle loops walk only these
-        self._in_ports: Tuple[Tuple[int, HandshakeTx, CircularFifo], ...] = ()
-        self._out_ports: Tuple[Tuple[int, HandshakeTx], ...] = ()
+        self._in_ports: List[Tuple[int, HandshakeTx, CircularFifo]] = []
+        self._out_ports: List[Tuple[int, HandshakeTx]] = []
 
         self.fifos = [CircularFifo(buffer_depth) for _ in range(self.N_PORTS)]
         # Input-side connection state.
@@ -129,12 +134,13 @@ class HermesRouter(Component):
 
     def attach_input(self, port: Port, channel: HandshakeTx) -> None:
         """Attach the receive side of *channel* to *port* (we drive ack)."""
+        port = int(port)
+        if self.in_ch[port] is not None:
+            raise ValueError(
+                f"{self.name}: input {port_label(port)} already attached"
+            )
         self.in_ch[port] = channel
-        self._in_ports = tuple(
-            (p, ch, self.fifos[p])
-            for p, ch in enumerate(self.in_ch)
-            if ch is not None
-        )
+        insort(self._in_ports, (port, channel, self.fifos[port]), key=_PORT)
         self.adopt_wires([channel.ack])
         # A committed change on the neighbour's tx/data must wake us; the
         # output-side ack only matters while a connection is open, and an
@@ -143,10 +149,13 @@ class HermesRouter(Component):
 
     def attach_output(self, port: Port, channel: HandshakeTx) -> None:
         """Attach the send side of *channel* to *port* (we drive tx/data)."""
+        port = int(port)
+        if self.out_ch[port] is not None:
+            raise ValueError(
+                f"{self.name}: output {port_label(port)} already attached"
+            )
         self.out_ch[port] = channel
-        self._out_ports = tuple(
-            (p, ch) for p, ch in enumerate(self.out_ch) if ch is not None
-        )
+        insort(self._out_ports, (port, channel), key=_PORT)
         self.adopt_wires([channel.tx, channel.data])
 
     # -- simulation ----------------------------------------------------------

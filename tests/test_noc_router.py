@@ -148,6 +148,15 @@ class TestHandshake:
         with pytest.raises(RoutingError):
             sim.step(100)
 
+    def test_port_attaches_once(self):
+        router = HermesRouter("r", (0, 0))
+        router.attach_input(Port.WEST, HandshakeTx("a"))
+        router.attach_output(Port.WEST, HandshakeTx("b"))
+        with pytest.raises(ValueError, match="input WEST already attached"):
+            router.attach_input(Port.WEST, HandshakeTx("c"))
+        with pytest.raises(ValueError, match="output WEST already attached"):
+            router.attach_output(Port.WEST, HandshakeTx("d"))
+
     def test_router_busy_reflects_in_flight_state(self):
         sim, router, driver, sink = single_router()
         assert not router.busy
