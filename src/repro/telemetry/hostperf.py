@@ -371,9 +371,12 @@ class HostPerfProfiler:
     def _run(self) -> None:
         ticks = 0
         while not self._stop.wait(self.interval):
+            # read the clock before the stack: a tick that ends after
+            # stop() was entered then sees stop() and is dropped
+            now = perf_counter()
             frame = sys._current_frames().get(self._ident)
             if frame is not None:
-                self._tick(frame, perf_counter())
+                self._tick(frame, now)
             ticks += 1
             if ticks % 16 == 0:
                 rss = read_rss_bytes()

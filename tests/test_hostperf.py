@@ -14,6 +14,7 @@ one in both kernel modes.
 import gc
 import io
 import json
+import sys
 import time
 
 import pytest
@@ -239,6 +240,28 @@ class TestHostPerfProfiler:
         top = max(prof.by_subsystem().items(), key=lambda kv: kv[1])[0]
         assert top != "Telemetry"
         assert prof.attributed_seconds >= 0.9 * prof.wall_seconds
+
+    def test_no_interval_billed_twice_under_fast_switching(self):
+        """The sampler's ticks and stop()'s tail tick share one interval
+        clock.  With the interpreter switching threads every microsecond,
+        attributed time must still equal, never exceed, the wall time."""
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                session = MultiNoCPlatform.standard().launch()
+                prof = session.profile_host(interval=0.0002)
+                session.host.sync()
+                session.run(1, STORE_42)
+                prof.stop()
+                wall = prof.wall_seconds
+                assert prof.attributed_seconds == pytest.approx(wall)
+                assert prof.attributed_seconds <= wall + 1e-9
+                assert not any(
+                    "hostperf:stop" in s for s in prof.folded_stacks()
+                )
+        finally:
+            sys.setswitchinterval(old)
 
     def test_run_metrics_flow_into_registry(self, tmp_path):
         session, prof = run_profiled()
