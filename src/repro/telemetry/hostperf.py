@@ -341,7 +341,12 @@ class HostPerfProfiler:
         return self
 
     def stop(self) -> "HostPerfProfiler":
-        """Stop the sampler thread; safe to call more than once."""
+        """Stop the sampler thread; safe to call more than once.
+
+        Call it from the sampled thread (the one that called
+        :meth:`start`): the final partial interval is billed to the
+        caller's stack, outside this module (:meth:`detach` included).
+        """
         thread = self._thread
         if thread is None:
             return self
@@ -350,7 +355,10 @@ class HostPerfProfiler:
         # tracks measured wall time (the >=90% coverage contract); the
         # sampler would see this thread inside stop() itself.
         end = perf_counter()
-        self._tick(sys._getframe(1), end)
+        caller = sys._getframe(1)
+        while caller.f_code.co_filename == __file__:
+            caller = caller.f_back
+        self._tick(caller, end)
         self._stop.set()
         thread.join(timeout=2.0)
         self._thread = None
