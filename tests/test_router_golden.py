@@ -2,8 +2,8 @@
 
 Each case runs seeded random traffic over one fabric and buffer depth
 under one kernel mode, and compares what the run left behind with a
-fixture recorded from an earlier, independently reviewed version of
-the router:
+fixture recorded from the router and NI as they stood before the
+drive-on-change rewrite:
 
 - the final cycle,
 - the sha256 of the VCD of every link wire (tx, data, ack),
@@ -157,7 +157,7 @@ def check_delivery(schedule, delivered):
     seen = set()
     for dst, packets in delivered.items():
         last_of_flow = {}
-        for payload, cycle in packets:
+        for payload, _ in packets:
             k = payload[0]
             assert k not in seen, f"packet {k} delivered twice"
             seen.add(k)
